@@ -13,8 +13,8 @@ Two implementations run the same request stream:
   verbatim below (per-address Python loops, uncached bit positions,
   array-shift eviction, per-commit re-hash of every address);
 * ``live``      — whatever :mod:`repro.hw` currently ships (the
-  interned mask cache, batched (W, A) compare, ring buffer, and
-  incremental signatures after PR 10).
+  address memo, bit-sliced compare, ring buffer, and incremental
+  signatures).
 
 Both are decision-identical by construction and the sweep asserts it:
 the verdict tallies of the two runs must match exactly (the
@@ -34,7 +34,8 @@ optimization removes.
 Knobs (env):
 
 * ``REPRO_BENCH_VAL_WINDOWS`` — space-separated window grid
-  (default ``16 64``);
+  (default ``16 64 256``; the bit-sliced live detector's cost does
+  not grow with W, the reference's does);
 * ``REPRO_BENCH_VAL_TXNS``    — transactions per measurement
   (default 4000; CI's perf-smoke uses a smaller value);
 * ``REPRO_BENCH_VAL_ROUNDS``  — measurement rounds per cell; each
@@ -56,7 +57,7 @@ import numpy as np
 from repro.hw import ValidationManager, ValidationRequest
 from repro.signatures import SignatureConfig
 
-DEFAULT_WINDOWS = (16, 64)
+DEFAULT_WINDOWS = (16, 64, 256)
 DEFAULT_TXNS = 4000
 DEFAULT_ROUNDS = 3
 #: acceptance floor at the paper's W=64 window on the ssca2-like mix.

@@ -241,8 +241,8 @@ METRICS: Tuple[MetricSpec, ...] = (
     _histogram("hw.occupancy_cycles", "detector occupancy per request"),
     _gauge("hw.window_resident", "peak window residency"),
     _counter("hw.mask_cache.hits", "query-mask lookups served from the cache"),
-    _counter("hw.mask_cache.misses", "first-touch addresses interned"),
-    _gauge("hw.mask_cache.entries", "peak interned mask-store size"),
+    _counter("hw.mask_cache.misses", "first-touch addresses memoized"),
+    _gauge("hw.mask_cache.entries", "memoized address count"),
     # shard.* — the cluster layer (repro.cluster).
     _counter("shard.single_commits", "single-shard fast-path commits"),
     _counter("shard.cross_commits", "cross-shard 2PC commits"),

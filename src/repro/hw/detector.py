@@ -14,30 +14,29 @@ oldest first, so the produced forward/backward masks feed the matrix
 directly.
 
 The W-way, 8-address-per-cycle parallel compare of the hardware is
-modelled at array granularity, one vectorized pass per request:
+modelled with a **bit-sliced** store: ``m`` Python-int *slices* of 2W
+bits each, the transpose of the W resident signature pairs.  Bit *s*
+of slice *p* is bit *p* of ring slot *s*'s write signature, and bit
+``W + s`` is bit *p* of that slot's read signature.  An address hits
+a signature exactly when all k of its bit positions are set there, so
+its hits against every slot and both halves at once are the AND of the
+k slices at its positions — O(k·A) integer ops per request whatever W
+is, the same dataflow as the RTL's W-way compare tree turned on its
+side.  Vacant slots have no bits in any slice, so they never hit.
 
-* every address's k-bit query mask is interned once in the shared
-  :class:`SignatureConfig` cache and gathered into an ``(A, words)``
-  matrix — no per-address re-hashing;
-* a single broadcasted AND+compare covers all W signatures × all A
-  addresses at once — the same dataflow as the RTL's W-way compare
-  tree;
-* the W slots live in a **ring buffer** (head index + modular slot
-  math), so evicting ``h_{W-1}`` on commit is O(1) instead of
-  shifting two ``(W, words)`` arrays.  Logical (oldest-first) slot
-  *i* lives at physical row ``(head + i) % W``; the whole request is
-  processed in physical order — hit vectors, the snapshot-observed
-  compare (a vectorized test against a per-slot commit-index array,
-  vacant slots pinned to a never-observed sentinel), and the boolean
-  packing — and only the final packed *integer* mask is rotated by
-  ``head`` (two shifts and an OR) into logical numbering.  Vacant
-  rows are all-zero and can never match a non-empty query mask, so
-  they contribute no bits.
+The W slots live in a **ring buffer** (head index + modular slot
+math), so evicting ``h_{W-1}`` on commit reuses its slot: the slot's
+bit is toggled in the slices named by ``old_raw ^ new_raw`` for each
+half, evicting the old entry and inserting the new one in one pass.
+Logical (oldest-first) slot *i* lives at physical slot
+``(head + i) % W``; hits are computed in physical order and only the
+final integer mask is rotated by ``head`` (two shifts and an OR) into
+logical numbering.
 
 Commit-time bookkeeping takes the transaction's *incremental*
 signatures when the request carries them (the CPU built both during
 execution — Algorithm 1), falling back to hashing the address sets
-through the mask cache otherwise.  Either way the recorded raws are
+through the address memo otherwise.  Either way the recorded raws are
 bit-identical, so verdicts cannot depend on which path ran.
 """
 
@@ -47,38 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..signatures import SignatureConfig
-
-_WORD = 64
-
-
-def _signature_words(config: SignatureConfig) -> int:
-    return (config.bits + _WORD - 1) // _WORD
-
-
-#: per-slot commit index of a vacant slot: never observed by any
-#: snapshot, so vacant slots cannot contribute backward-RAW bits.
-_NEVER = np.iinfo(np.int64).max
-
-
-def _raw_to_words(raw: int, words: int) -> np.ndarray:
-    """Pack an m-bit Python int into a ``(words,)`` uint64 row."""
-    return np.frombuffer(raw.to_bytes(words * 8, "little"), dtype="<u8")
-
-
-def _bools_to_mask(bools: np.ndarray) -> int:
-    """Pack a boolean slot vector into an int bitmask (bit i = slot i).
-
-    One little-endian ``np.packbits`` pass, any window width; the
-    dot-against-powers-of-two formulation it replaced survives as the
-    reference oracle in ``tests/hw`` alongside the original per-bit
-    loop.
-    """
-    return int.from_bytes(
-        np.packbits(bools, bitorder="little").tobytes(), "little"
-    )
 
 
 @dataclass(frozen=True)
@@ -92,34 +60,29 @@ class Bookkeeping:
 
 
 class ConflictDetector:
-    """Parallel signature store with W-way conflict detection."""
+    """Bit-sliced signature store with W-way conflict detection."""
 
     def __init__(self, config: SignatureConfig, window: int):
         if window < 1:
             raise ValueError("window must hold at least one entry")
         self.config = config
         self.window = window
-        self._words = _signature_words(config)
-        #: one combined store: physical rows ``[0, W)`` hold the
-        #: write-set signatures, rows ``[W, 2W)`` the read-set ones,
-        #: so one broadcasted compare covers both halves per request.
-        self._sigs = np.zeros((2 * window, self._words), dtype=np.uint64)
+        #: one slice per signature bit position: bits ``[0, W)`` are
+        #: the write signatures of physical slots ``0 .. W-1``, bits
+        #: ``[W, 2W)`` their read signatures.
+        self._slices: List[int] = [0] * config.bits
         #: resident entries, oldest first (logical slot order).
         self._entries: Deque[Bookkeeping] = deque()
-        #: physical row of logical slot 0.  Stays 0 until the first
+        #: physical slot of logical slot 0.  Stays 0 until the first
         #: eviction (the window fills in place), then advances mod W.
         self._head = 0
-        #: per-physical-slot commit index (vacant slots: ``_NEVER``),
-        #: so the snapshot-observed test is one vectorized compare.
-        self._commit_idx = np.full(window, _NEVER, dtype=np.int64)
         #: sticky: have the recorded commit indices been consecutive?
         #: The manager numbers commits 0, 1, 2, ... so the resident
         #: indices are always a contiguous run and the snapshot-
-        #: observed set is a logical-order *prefix* — deriving
-        #: forward/backward from the packed hit masks with integer ops
-        #: alone.  Any out-of-sequence record (only reachable through
-        #: direct detector use) clears the flag and the vectorized
-        #: per-slot compare takes over; both paths are bit-identical.
+        #: observed set is a logical-order *prefix*, derived with
+        #: integer ops alone.  Any out-of-sequence record (only
+        #: reachable through direct detector use) clears the flag and
+        #: a per-entry loop takes over; both paths are bit-identical.
         self._consecutive = True
         self._full_mask = (1 << window) - 1
 
@@ -139,18 +102,13 @@ class ConflictDetector:
     def _rotate(self, mask: int) -> int:
         """Rotate a *physical*-order slot bitmask into logical
         (oldest-first) numbering — logical slot i lives at physical
-        row ``(head + i) % W``."""
+        slot ``(head + i) % W``."""
         head = self._head
         if head:
             mask = (
                 (mask >> head) | (mask << (self.window - head))
             ) & self._full_mask
         return mask
-
-    def _pack(self, bools: np.ndarray) -> int:
-        """Pack a physical-order slot vector into a *logical*-order
-        bitmask: one boolean pack plus the integer head rotation."""
-        return self._rotate(_bools_to_mask(bools))
 
     def edges(
         self,
@@ -165,59 +123,50 @@ class ConflictDetector:
         an unobserved slot it is the stale-read forward edge.  Write
         conflicts (vs the slot's writes or reads) are always backward.
 
-        One ``(2W, A, words)`` broadcasted AND+compare covers every
-        address against both signature halves at once — the same
-        dataflow as the RTL's W-way compare tree.  Vacant rows are
-        all-zero and can never contain a non-empty mask, so they
-        always come out False.  The resulting boolean matrix is packed
-        in a single ``np.packbits`` pass into one per-address bitmask
-        integer each; the OR-across-addresses, the read/write-half
-        split, and the head rotation are then plain integer ops.
+        Each address's 2W-bit hit vector is the AND of the slices at
+        its k bit positions; ORed across addresses, a read's low
+        (write-signature) half and both halves of a write, folded onto
+        W bits, are the physical-order hit masks.
         """
-        if not self._entries:
+        if not self._entries or not (read_addrs or write_addrs):
             return 0, 0
-        n_read = len(read_addrs)
-        n_write = len(write_addrs)
-        if not n_read and not n_write:
-            return 0, 0
-        masks = self.config.query_words((*read_addrs, *write_addrs))
-        window = self.window
-        hits = (
-            ((self._sigs[:, None, :] & masks[None, :, :]) == masks[None, :, :])
-            .all(axis=2)
-        )
-        # One per-address field of ceil(2W/8)*8 bits, low W bits = the
-        # write-sig half, next W bits = the read-sig half.
-        packed = int.from_bytes(
-            np.packbits(hits.T, axis=1, bitorder="little").tobytes(), "little"
-        )
-        field_bits = ((2 * window + 7) // 8) * 8
-        half = self._full_mask
-
-        read_hits = 0
-        for a in range(n_read):
-            read_hits |= packed >> (a * field_bits)
-        read_hits &= half
-        write_hits = 0
-        for a in range(n_read, n_read + n_write):
-            field = packed >> (a * field_bits)
-            write_hits |= field | (field >> window)
-        write_hits &= half
+        read_hits = self._hits(read_addrs) & self._full_mask
+        write_hits = self._hits(write_addrs)
 
         forward = 0
         backward = 0
-        if n_read:
+        if read_hits:
             read_mask = self._rotate(read_hits)
             observed_mask = self._observed_prefix(snapshot)
             if observed_mask is None:
-                # Non-consecutive history: per-slot vectorized compare
-                # (physical order, rotated during the pack).
-                observed_mask = self._pack(self._commit_idx < snapshot)
+                # Non-consecutive history: per-entry compare, already
+                # in logical order.
+                observed_mask = 0
+                for slot, entry in enumerate(self._entries):
+                    if entry.commit_index < snapshot:
+                        observed_mask |= 1 << slot
             forward = read_mask & ~observed_mask
             backward = read_mask & observed_mask
-        if n_write:
-            backward |= self._rotate(write_hits)
+        if write_hits:
+            backward |= self._rotate(
+                (write_hits | write_hits >> self.window) & self._full_mask
+            )
         return forward, backward
+
+    def _hits(self, addrs: Sequence[int]) -> int:
+        """Physical-order 2W-bit hit mask of *addrs*: the OR over the
+        addresses of the AND of the slices at each one's k bit
+        positions (bit s: slot s's write signature contains it; bit
+        W + s: its read signature does)."""
+        slices = self._slices
+        lookup = self.config.lookup
+        hits = 0
+        for addr in addrs:
+            hit = -1
+            for pos in lookup(addr)[1]:
+                hit &= slices[pos]
+            hits |= hit
+        return hits
 
     def _observed_prefix(self, snapshot: int) -> Optional[int]:
         """Logical-order bitmask of resident slots with
@@ -247,32 +196,38 @@ class ConflictDetector:
 
         ``read_raw``/``write_raw`` are the transaction's incremental
         signatures when the CPU shipped them; omitted, the address
-        sets are folded through the mask cache (bit-identical result).
+        sets are folded through the address memo (bit-identical result).
         Returns True when an eviction happened (the caller's matrix
         must shift in lock-step).
         """
         config = self.config
         if read_raw is None:
-            read_raw = config.raw_of(tuple(read_addrs))
+            read_raw = config.raw_of(read_addrs)
         if write_raw is None:
-            write_raw = config.raw_of(tuple(write_addrs))
+            write_raw = config.raw_of(write_addrs)
         entry = Bookkeeping(label, commit_index, read_raw, write_raw)
 
         if self._entries and commit_index != self._entries[-1].commit_index + 1:
             self._consecutive = False
         evicted = len(self._entries) == self.window
         if evicted:
-            self._entries.popleft()
+            old = self._entries.popleft()
+            old_read, old_write = old.read_raw, old.write_raw
             slot = self._head
             self._head = (self._head + 1) % self.window
         else:
+            old_read = old_write = 0
             slot = len(self._entries)
         self._entries.append(entry)
-        # One conversion for both halves: write words then read words.
-        both = _raw_to_words(
-            write_raw | (read_raw << (self._words * _WORD)), 2 * self._words
-        )
-        self._sigs[slot] = both[: self._words]
-        self._sigs[self.window + slot] = both[self._words :]
-        self._commit_idx[slot] = commit_index
+        # The reused slot's bit flips in exactly the slices where the
+        # old and new signatures differ: eviction and insertion at once.
+        slices = self._slices
+        for changed, bit in (
+            (old_write ^ write_raw, 1 << slot),
+            (old_read ^ read_raw, 1 << (self.window + slot)),
+        ):
+            while changed:
+                pos = changed.bit_length() - 1
+                slices[pos] ^= bit
+                changed ^= 1 << pos
         return evicted

@@ -150,19 +150,6 @@ class FpgaValidationEngine:
 
     # ------------------------------------------------------------------
     @property
-    def mask_cache_stats(self) -> dict:
-        """Hit/miss/entry counters of the shared address→query-mask
-        cache (see :class:`repro.signatures.SignatureConfig`) — the
-        knob that turned the detector's per-address Python loops into
-        one gathered ``(A, words)`` compare per request."""
-        config = self.manager.config
-        return {
-            "hits": config.mask_cache_hits,
-            "misses": config.mask_cache_misses,
-            "entries": config.mask_cache_entries,
-        }
-
-    @property
     def mean_round_trip_ns(self) -> float:
         return self.total_round_trip_ns / self.stats_requests if self.stats_requests else 0.0
 

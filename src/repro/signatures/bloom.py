@@ -11,39 +11,35 @@ ROCoCoTM's configuration is ``m = 512``: one CPU cacheline, so a
 signature ships to the FPGA in a single CCI transfer, and
 "coincidentally" also exactly eight 64-bit addresses.
 
-**The interned mask cache.**  Every operation on an element reduces to
-the same k-bit *query mask* (one set bit per partition), and workloads
+**The address memo.**  Every operation on an element reduces to the
+same k-bit *query mask* (one set bit per partition), and workloads
 touch the same addresses over and over — every read re-inserts, every
 commit re-hashes, every detector compare re-derives the very same
-bits.  :class:`SignatureConfig` therefore interns each address once:
-the k bit positions, the packed ``m``-bit mask (a Python int), and the
-same mask as a ``(words,)`` uint64 row in a shared matrix that the
-conflict detector gathers into its batched ``(A, words)`` compares.
-The cache is exact (no eviction: an address's mask never changes), so
-insert/query/detector all agree bit-for-bit with the uncached
-computation — the property test in ``tests/signatures`` pins it.
+bits.  :class:`SignatureConfig` therefore memoizes each address once,
+in one dict ``addr -> (mask, positions)``: the packed ``m``-bit mask
+(a Python int) and the k global bit positions, computed by the scalar
+multiply-shift lanes.  Signature insert/query use the mask; the
+conflict detector uses the positions to pick the bit slices it ANDs.
+The memo is exact (no eviction: an address's mask never changes), so
+every consumer agrees bit-for-bit with the uncached computation — the
+property test in ``tests/signatures`` pins it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
-from .hashing import hash_family, hash_rows
+from .hashing import hash_family
 
 DEFAULT_BITS = 512
 DEFAULT_PARTITIONS = 4
-
-_WORD = 64
-_INITIAL_ROWS = 256
 
 
 class SignatureConfig:
     """Shared (m, k, hash family) configuration for compatible signatures.
 
-    Also the home of the interned address→query-mask cache shared by
-    signature insert/query and the hardware model's conflict detector.
+    Also the home of the address memo shared by signature insert/query
+    and the hardware model's conflict detector.
     """
 
     __slots__ = (
@@ -51,11 +47,7 @@ class SignatureConfig:
         "partitions",
         "partition_bits",
         "hashes",
-        "words",
-        "_index",
-        "_masks",
-        "_position_rows",
-        "_mask_rows",
+        "_memo",
         "mask_cache_hits",
         "mask_cache_misses",
     )
@@ -77,128 +69,61 @@ class SignatureConfig:
         self.partitions = partitions
         self.partition_bits = partition_bits
         self.hashes = hash_family(partitions, partition_bits.bit_length() - 1, seed)
-        #: 64-bit words per signature (the detector's row width).
-        self.words = (bits + _WORD - 1) // _WORD
-        # addr -> row index into the interned-mask store.
-        self._index: Dict[int, int] = {}
-        self._masks: List[int] = []
-        self._position_rows: np.ndarray = np.zeros(
-            (_INITIAL_ROWS, partitions), dtype=np.uint64
-        )
-        self._mask_rows: np.ndarray = np.zeros(
-            (_INITIAL_ROWS, self.words), dtype=np.uint64
-        )
+        self._memo: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         self.mask_cache_hits = 0
         self.mask_cache_misses = 0
 
     # ------------------------------------------------------------------
-    # The interned mask cache
+    # The address memo
     # ------------------------------------------------------------------
     @property
     def mask_cache_entries(self) -> int:
-        return len(self._masks)
+        return len(self._memo)
 
-    def _grow(self, need: int) -> None:
-        capacity = len(self._mask_rows)
-        while capacity < need:
-            capacity *= 2
-        position_rows = np.zeros((capacity, self.partitions), dtype=np.uint64)
-        position_rows[: len(self._masks)] = self._position_rows[: len(self._masks)]
-        self._position_rows = position_rows
-        mask_rows = np.zeros((capacity, self.words), dtype=np.uint64)
-        mask_rows[: len(self._masks)] = self._mask_rows[: len(self._masks)]
-        self._mask_rows = mask_rows
-
-    def _intern_batch(self, fresh: Sequence[int]) -> None:
-        """Hash and pack a batch of never-seen addresses: one
-        vectorized multiply/shift per lane, then one scatter-OR into
-        the shared mask matrix."""
-        base = len(self._masks)
-        count = len(fresh)
-        if base + count > len(self._mask_rows):
-            self._grow(base + count)
-        width = np.uint64(self.partition_bits)
-        lane_base = np.arange(self.partitions, dtype=np.uint64) * width
-        positions = hash_rows(self.hashes, fresh) + lane_base[None, :]
-        self._position_rows[base : base + count] = positions
-        rows = np.repeat(np.arange(base, base + count), self.partitions)
-        np.bitwise_or.at(
-            self._mask_rows,
-            (rows, (positions // _WORD).ravel().astype(np.intp)),
-            np.uint64(1) << (positions % _WORD).ravel(),
-        )
-        for offset, element in enumerate(fresh):
-            row = base + offset
-            mask = 0
-            for pos in positions[offset]:
-                mask |= 1 << int(pos)
-            self._masks.append(mask)
-            self._index[element] = row
-        self.mask_cache_misses += count
-
-    def _intern(self, element: int) -> int:
-        row = self._index.get(element)
-        if row is not None:
+    def lookup(self, element: int) -> Tuple[int, Tuple[int, ...]]:
+        """The memoized ``(query mask, bit positions)`` of *element*."""
+        entry = self._memo.get(element)
+        if entry is not None:
             self.mask_cache_hits += 1
-            return row
-        # Scalar first-touch path: k multiply-shifts in plain Python
-        # beat a one-row numpy batch (same bits either way — the lanes
-        # agree with ``hash_rows`` bit-for-bit).
-        row = len(self._masks)
-        if row + 1 > len(self._mask_rows):
-            self._grow(row + 1)
+            return entry
         width = self.partition_bits
-        mask = 0
-        positions = []
-        for lane, lane_hash in enumerate(self.hashes):
-            pos = lane * width + lane_hash(element)
-            positions.append(pos)
-            mask |= 1 << pos
-        self._position_rows[row] = positions
-        self._mask_rows[row] = np.frombuffer(
-            mask.to_bytes(self.words * 8, "little"), dtype="<u8"
+        positions = tuple(
+            lane * width + lane_hash(element)
+            for lane, lane_hash in enumerate(self.hashes)
         )
-        self._masks.append(mask)
-        self._index[element] = row
+        mask = 0
+        for pos in positions:
+            mask |= 1 << pos
+        entry = self._memo[element] = (mask, positions)
         self.mask_cache_misses += 1
-        return row
+        return entry
 
-    def intern_rows(self, elements: Sequence[int]) -> List[int]:
-        """Row indices into :meth:`mask_matrix` for *elements*,
-        interning any first-touch addresses as one vectorized batch."""
-        index = self._index
-        try:
-            rows = [index[e] for e in elements]
-        except KeyError:
-            fresh = [e for e in elements if e not in index]
-            if len(fresh) > 1:
-                fresh = list(dict.fromkeys(fresh))
-            self._intern_batch(fresh)
-            self.mask_cache_hits += len(elements) - len(fresh)
-            return [index[e] for e in elements]
-        self.mask_cache_hits += len(elements)
-        return rows
-
-    def mask_matrix(self) -> np.ndarray:
-        """The interned ``(entries, words)`` uint64 mask store (live
-        view; rows are append-only and never mutated once written)."""
-        return self._mask_rows
+    def intern_rows(self, elements: Sequence[int]) -> int:
+        """Memoize *elements*; returns the memo size.  Kept, like
+        :meth:`query_words`, because ``perfbench/tracer.py`` wraps it by
+        name."""
+        for element in elements:
+            self.lookup(element)
+        return len(self._memo)
 
     def query_mask(self, element: int) -> int:
         """The packed m-bit query mask of *element* (all k bits set)."""
-        return self._masks[self._intern(element)]
+        # The hit path is inlined: every signature insert and query of
+        # every TM barrier comes through here.
+        entry = self._memo.get(element)
+        if entry is None:
+            return self.lookup(element)[0]
+        self.mask_cache_hits += 1
+        return entry[0]
 
-    def query_words(self, elements: Sequence[int]) -> np.ndarray:
-        """The ``(A, words)`` uint64 mask matrix for a batch of
-        addresses — the detector's per-request compare operand."""
-        # Intern first: it may grow (and reassign) the row store.
-        rows = self.intern_rows(elements)
-        return self._mask_rows[rows]
+    def query_words(self, elements: Sequence[int]) -> int:
+        """The union of the query masks of *elements*."""
+        return self.raw_of(elements)
 
     # ------------------------------------------------------------------
     def bit_positions(self, element: int) -> List[int]:
         """The k global bit positions of *element* (one per partition)."""
-        return [int(p) for p in self._position_rows[self._intern(element)]]
+        return list(self.lookup(element)[1])
 
     def new(self) -> "BloomSignature":
         return BloomSignature(self)
@@ -210,12 +135,12 @@ class SignatureConfig:
         return sig
 
     def raw_of(self, elements: Sequence[int]) -> int:
-        """The packed signature of an address batch, via the cache:
-        a union of interned masks instead of per-element hashing."""
+        """The packed signature of an address batch, via the memo:
+        a union of memoized masks instead of per-element hashing."""
         raw = 0
-        masks = self._masks
-        for row in self.intern_rows(elements):
-            raw |= masks[row]
+        lookup = self.lookup
+        for element in elements:
+            raw |= lookup(element)[0]
         return raw
 
 

@@ -16,9 +16,7 @@ multiply on the CPU.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
-
-import numpy as np
+from typing import List
 
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -58,25 +56,3 @@ def hash_family(lanes: int, out_bits: int, seed: int = 0x5EED) -> List[MultiplyS
         multiplier = rng.getrandbits(WORD_BITS) | 1
         hashes.append(MultiplyShiftHash(multiplier, out_bits))
     return hashes
-
-
-def hash_rows(
-    hashes: Sequence[MultiplyShiftHash], elements: Sequence[int]
-) -> np.ndarray:
-    """All lane outputs for a batch of elements: an ``(A, lanes)``
-    uint64 matrix with ``out[j][i] == hashes[i](elements[j])``.
-
-    This is the CPU-side analogue of the FPGA's per-lane DSP columns:
-    one vectorized multiply + shift per lane over the whole batch.
-    numpy's uint64 arithmetic wraps mod ``2^w`` exactly like the
-    scalar path's ``& _WORD_MASK``, so the two agree bit-for-bit (the
-    mask-cache property test in ``tests/signatures`` pins this).
-    """
-    lanes = np.fromiter(
-        (h.multiplier for h in hashes), dtype=np.uint64, count=len(hashes)
-    )
-    vals = np.fromiter(
-        (e & _WORD_MASK for e in elements), dtype=np.uint64, count=len(elements)
-    )
-    shift = np.uint64(WORD_BITS - hashes[0].out_bits)
-    return (vals[:, None] * lanes[None, :]) >> shift

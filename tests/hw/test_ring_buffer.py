@@ -1,26 +1,23 @@
-"""Ring-buffer detector vs an array-shift reference (PR 10).
+"""Ring-buffer detector vs an array-shift reference.
 
-The vectorized :class:`ConflictDetector` stores its W slots in a ring
-buffer (head index + modular slot math) and computes edge masks in
-physical order, rotating only the final packed integer.  These tests
-drive W + k commits — several full wraparounds — against an
-independent array-shift model that keeps slots physically oldest-first
-and queries each address with *uncached* bit positions, asserting that
-``edges()`` masks, ``oldest_commit_index``, and the resident entries
-agree bit-for-bit at every step.
-
-The pre-vectorization boolean packing survives here as the reference
-oracle for ``_bools_to_mask`` (both the original per-bit loop and the
-dot-against-powers-of-two formulation it briefly became).
+The bit-sliced :class:`ConflictDetector` stores its W slots in a ring
+buffer (head index + modular slot math), keeps them transposed into
+one 2W-bit slice per signature bit, and computes edge masks in
+physical order, rotating only the final integer.  These tests drive
+several full wraparounds against an independent array-shift model
+that keeps slots physically oldest-first and queries each address
+with *uncached* bit positions, asserting that ``edges()`` masks,
+``oldest_commit_index``, and the resident entries agree bit-for-bit
+at every step, across window widths and partition counts.  A second
+check pins the slice store itself to the transpose of the resident
+entries' signatures after every commit and eviction.
 """
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.hw import ConflictDetector
-from repro.hw.detector import _bools_to_mask
 from repro.signatures import SignatureConfig
 
 
@@ -89,22 +86,25 @@ def _stream(rng, txns, space=4096, n_reads=3, n_writes=2):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("window", [3, 8, 64, 100])
-def test_wraparound_matches_array_shift_reference(window):
-    """W + k commits (several wraparounds) with a probe after each."""
-    config = SignatureConfig()
+def _drive_against_reference(config, window, commits, seed, space=4096):
+    """Commit *commits* transactions with a probe before each; returns
+    how many probes produced a non-empty edge mask."""
     live = ConflictDetector(config, window)
     ref = ArrayShiftDetector(config, window)
-    rng = random.Random(1234 + window)
+    rng = random.Random(seed)
+    nonempty = 0
 
     for commit_index, (reads, writes) in enumerate(
-        _stream(rng, 3 * window + 7)
+        _stream(rng, commits, space=space)
     ):
-        probe_reads, probe_writes = _stream(rng, 1)[0]
+        probe_reads, probe_writes = _stream(rng, 1, space=space)[0]
         snapshot = rng.randint(max(0, commit_index - window), commit_index)
-        assert live.edges(probe_reads, probe_writes, snapshot) == ref.edges(
-            probe_reads, probe_writes, snapshot
-        ), (window, commit_index)
+        got = live.edges(probe_reads, probe_writes, snapshot)
+        assert got == ref.edges(probe_reads, probe_writes, snapshot), (
+            window,
+            commit_index,
+        )
+        nonempty += got != (0, 0)
 
         live.record_commit(commit_index, commit_index, reads, writes)
         ref.record_commit(commit_index, reads, writes)
@@ -113,6 +113,58 @@ def test_wraparound_matches_array_shift_reference(window):
         assert [e.commit_index for e in live.entries()] == [
             e[0] for e in ref.entries
         ]
+    return nonempty
+
+
+@pytest.mark.parametrize("window", [3, 8, 64, 100])
+def test_wraparound_matches_array_shift_reference(window):
+    """Several wraparounds with a probe after each commit."""
+    _drive_against_reference(
+        SignatureConfig(), window, 3 * window + 7, seed=1234 + window
+    )
+
+
+@pytest.mark.parametrize("partitions", [1, 2, 4, 8])
+@pytest.mark.parametrize("window", [1, 7, 64, 256])
+def test_wraparound_across_geometries(window, partitions):
+    """W in {1, 7, 64, 256} x k in {1, 2, 4, 8}; a small address space
+    keeps real conflicts frequent so the masks are not all empty."""
+    config = SignatureConfig(512, partitions)
+    nonempty = _drive_against_reference(
+        config, window, 2 * window + 40, seed=window * 10 + partitions, space=64
+    )
+    assert nonempty > 0
+
+
+def _expected_slices(detector):
+    """The transpose of the resident entries' raws, in physical slots."""
+    window = detector.window
+    expected = [0] * detector.config.bits
+    for logical, entry in enumerate(detector.entries()):
+        slot = (detector._head + logical) % window
+        for pos in range(detector.config.bits):
+            if entry.write_raw >> pos & 1:
+                expected[pos] |= 1 << slot
+            if entry.read_raw >> pos & 1:
+                expected[pos] |= 1 << (window + slot)
+    return expected
+
+
+@pytest.mark.parametrize("partitions", [1, 4, 8])
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_slices_are_transpose_of_resident_raws(window, partitions):
+    """After every commit and eviction no stale slot bit survives:
+    the slice store is exactly the transpose of the resident raws."""
+    config = SignatureConfig(512, partitions)
+    detector = ConflictDetector(config, window)
+    rng = random.Random(window + partitions)
+    commit_index = 0
+    for step, (reads, writes) in enumerate(_stream(rng, 3 * window + 5, space=512)):
+        # Gapped indices every other window exercise the sticky
+        # fallback; the store must not care.
+        commit_index += 1 if step < 2 * window else rng.randint(1, 3)
+        detector.record_commit(step, commit_index, reads, writes)
+        assert detector._slices == _expected_slices(detector), (window, step)
 
 
 @pytest.mark.parametrize("window", [4, 16])
@@ -158,36 +210,3 @@ def test_shipped_signatures_equal_rehash():
         assert with_sigs.edges(
             probe_reads, probe_writes, snapshot
         ) == without.edges(probe_reads, probe_writes, snapshot)
-
-
-# ----------------------------------------------------------------------
-# Boolean packing oracles.
-# ----------------------------------------------------------------------
-
-
-def _bools_to_mask_bit_loop(bools):
-    """The original per-bit packing (pre-PR10)."""
-    mask = 0
-    for i in np.nonzero(bools)[0]:
-        mask |= 1 << int(i)
-    return mask
-
-
-def _bools_to_mask_pow2_dot(bools):
-    """The dot-against-powers-of-two formulation."""
-    pow2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    mask = 0
-    for base in range(0, bools.size, 64):
-        chunk = bools[base : base + 64]
-        mask |= int((chunk * pow2[: chunk.size]).sum(dtype=np.uint64)) << base
-    return mask
-
-
-@pytest.mark.parametrize("size", [1, 7, 63, 64, 65, 128, 200])
-def test_bools_to_mask_matches_oracles(size):
-    rng = np.random.default_rng(size)
-    for density in (0.0, 0.1, 0.5, 1.0):
-        bools = rng.random(size) < density
-        expected = _bools_to_mask_bit_loop(bools)
-        assert _bools_to_mask(bools) == expected
-        assert _bools_to_mask_pow2_dot(bools) == expected
