@@ -88,7 +88,7 @@ class BitVec:
         return self.bits != 0
 
     def popcount(self) -> int:
-        return self.bits.bit_count()
+        return bin(self.bits).count("1")
 
     def shifted_in(self, value: bool) -> "BitVec":
         """Shift left by one slot and insert *value* at slot 0.

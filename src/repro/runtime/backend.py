@@ -80,11 +80,6 @@ class TMBackend:
         self.driver = None
         self._scale = 1.0
 
-    # -- deprecated alias (pre-Driver spelling) -------------------------
-    @property
-    def simulator(self):
-        return self.driver
-
     # ------------------------------------------------------------------
     def attach(self, driver) -> None:
         """Wire the backend to a :class:`repro.runtime.driver.Driver`

@@ -1,11 +1,10 @@
 """The narrow Driver API backends program against.
 
-Historically every backend reached straight into :class:`Simulator`
-(``self.simulator.wake(...)``, ``self.simulator.n_threads``,
-``getattr(self.simulator, "bus", None)``), which coupled all eight TM
-systems — and the hw engine underneath ROCoCoTM — to the driver's
-internals and made the scheduler impossible to rebuild without touching
-every backend.  This module pins down the *entire* legal surface:
+Backends never reach into :class:`Simulator` itself: doing so would
+couple all eight TM systems — and the hw engine underneath ROCoCoTM —
+to the driver's internals and make the scheduler impossible to rebuild
+without touching every backend.  This module pins down the *entire*
+legal surface:
 
 Attributes (immutable run parameters):
 

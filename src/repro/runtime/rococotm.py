@@ -2,7 +2,11 @@
 
 The CPU side implements Algorithm 1 verbatim over thread-local
 bloom-filter signatures — no per-location metadata, no atomics on the
-fast path:
+fast path.  Every signature here (read, write and miss sets, the
+8-address read sub-signatures, the ``CommitQueue`` and ``UpdateSet``
+entries) is a raw m-bit Python int under the backend's
+:class:`~repro.signatures.SignatureConfig`; a barrier looks up its
+address's query mask once and reuses it for every test and insert:
 
 * ``GlobalTS`` counts committed writing transactions; the
   ``CommitQueue`` holds each one's write-set signature.
@@ -29,7 +33,6 @@ empty-write-set transactions commit directly on the CPU (§5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.degradation import (
@@ -38,7 +41,7 @@ from ..faults.degradation import (
     ValidationUnavailable,
 )
 from ..hw import FpgaValidationEngine, SoftwareValidationEngine, ValidationRequest
-from ..signatures import BloomSignature, SignatureConfig
+from ..signatures import SignatureConfig
 from .api import TransactionAborted
 from .backend import TMBackend
 from .coarse_lock import GlobalLock
@@ -55,26 +58,29 @@ WRITEBACK_PER_WORD_NS = 7.0
 ROLLBACK_NS = 14.0
 
 
-@dataclass
 class _TxnState:
-    local_ts: int
-    valid_ts: int
-    frozen: bool = False                    # MissSet != empty
-    read_addrs: List[int] = field(default_factory=list)
-    read_sig: BloomSignature = None         # type: ignore[assignment]
-    sub_sigs: List[BloomSignature] = field(default_factory=list)
-    write_addrs: List[int] = field(default_factory=list)
-    write_sig: BloomSignature = None        # type: ignore[assignment]
-    redo: Dict[int, Any] = field(default_factory=dict)
-    miss_sig: BloomSignature = None         # type: ignore[assignment]
+    """One transaction's CPU-side state; every signature a raw int."""
 
+    __slots__ = (
+        "local_ts", "valid_ts", "read_addrs", "read_sig", "sub_sigs",
+        "write_addrs", "write_sig", "redo", "miss_sig",
+    )
 
-@dataclass
-class _UpdateEntry:
-    """A committing transaction's write signature, live during write-back."""
+    def __init__(self, ts: int):
+        self.local_ts = ts
+        self.valid_ts = ts
+        self.read_addrs: List[int] = []
+        self.read_sig = 0
+        self.sub_sigs: List[int] = []
+        self.write_addrs: List[int] = []
+        self.write_sig = 0
+        self.redo: Dict[int, Any] = {}
+        self.miss_sig = 0
 
-    signature: BloomSignature
-    end_ns: float
+    @property
+    def frozen(self) -> bool:
+        """MissSet != empty: the snapshot can no longer extend."""
+        return self.miss_sig != 0
 
 
 class RococoTMBackend(TMBackend):
@@ -144,8 +150,9 @@ class RococoTMBackend(TMBackend):
             software.manager = self.engine.manager
         self.degradation = DegradationManager(self.engine, software, policy)
         self.global_ts = 0
-        self.commit_queue: List[BloomSignature] = []
-        self._updates: List[_UpdateEntry] = []
+        self.commit_queue: List[int] = []
+        #: the UpdateSet: ``(write signature, write-back end ns)``.
+        self._updates: List[Tuple[int, float]] = []
         self._txns: Dict[int, _TxnState] = {}
         self._label = 0
         self.irrevocable_after = irrevocable_after
@@ -188,14 +195,7 @@ class RococoTMBackend(TMBackend):
             self._force_irrevocable.discard(tid)
         else:
             at = now
-        ts = self.global_ts
-        self._txns[tid] = _TxnState(
-            local_ts=ts,
-            valid_ts=ts,
-            read_sig=self.config.new(),
-            write_sig=self.config.new(),
-            miss_sig=self.config.new(),
-        )
+        self._txns[tid] = _TxnState(self.global_ts)
         return at + self.scaled(BEGIN_NS)
 
     # ------------------------------------------------------------------
@@ -208,73 +208,73 @@ class RococoTMBackend(TMBackend):
         if addr in txn.redo:  # lines 1-3
             return txn.redo[addr], now + self.scaled(cost)
 
+        mask = self.config.query_mask(addr)
+        if self._updates:  # lines 5-7: commit-time locking
+            now = self._update_set_barrier(mask, now, txn.frozen)
+
         if tid in self._irrevocable:
             # Exclusive mode: no concurrent commits can happen (the
             # optimistic commit path fences on the lock), so direct
             # loads are consistent once lingering write-backs drain.
-            now = self._update_set_barrier(txn, addr, now)
             return self.memory.load(addr), now + self.scaled(cost)
-
-        # Lines 5-7: commit-time locking via the update set.
-        now = self._update_set_barrier(txn, addr, now)
 
         value = self.memory.load(addr)  # line 8
 
-        # Lines 9-13: fold missed commits into a TempSet.
-        temp = self.config.new()
-        entries = 0
-        while txn.local_ts < self.global_ts:
-            temp.unite(self.commit_queue[txn.local_ts])
-            txn.local_ts += 1
-            entries += 1
-        cost += TEMPSET_PER_ENTRY_NS * entries
+        start = txn.local_ts
+        if start < self.global_ts:
+            # Lines 9-13: fold missed commits into a TempSet.
+            end = txn.local_ts = self.global_ts
+            temp = 0
+            for signature in self.commit_queue[start:end]:
+                temp |= signature
+            cost += TEMPSET_PER_ENTRY_NS * (end - start)
 
-        # Lines 14-19 + the Fig. 8(b) extension.
-        if entries or txn.frozen:
+            # Lines 14-19 + the Fig. 8(b) extension.
             overlap = False
-            if not temp.is_empty():
+            if temp:
                 cost += INTERSECT_NS
-                if txn.read_sig.intersects(temp):
+                overlaps = self.config.overlaps
+                if overlaps(txn.read_sig, temp):
                     # Whole-set hit: re-check per 8-address subset for
                     # accuracy (§5.3).
                     cost += INTERSECT_NS * max(1, len(txn.sub_sigs))
-                    overlap = any(s.intersects(temp) for s in txn.sub_sigs)
-            if txn.frozen or overlap:
-                txn.miss_sig.unite(temp)
-                txn.frozen = True
-                if txn.miss_sig.query(addr):
-                    raise TransactionAborted("cpu-miss")
+                    overlap = any(overlaps(sub, temp) for sub in txn.sub_sigs)
+            if txn.miss_sig or overlap:
+                txn.miss_sig |= temp
             else:
-                txn.valid_ts = txn.local_ts  # snapshot extension
+                txn.valid_ts = end  # snapshot extension
+        if txn.miss_sig & mask == mask:  # a frozen snapshot missed addr
+            raise TransactionAborted("cpu-miss")
 
-        self._record_read(txn, addr)  # line 20
+        # Line 20: record the read, whole-set and per-subset.
+        txn.read_sig |= mask
+        if len(txn.read_addrs) % SUBSET_SIZE:
+            txn.sub_sigs[-1] |= mask
+        else:
+            txn.sub_sigs.append(mask)
+        txn.read_addrs.append(addr)
         return value, now + self.scaled(cost)
 
-    def _update_set_barrier(self, txn: _TxnState, addr: int, now: float) -> float:
-        """Lines 5-7: wait out (or abort on) in-flight write-backs."""
-        while True:
-            live = [u for u in self._updates if u.end_ns > now]
+    def _update_set_barrier(self, mask: int, now: float, frozen: bool) -> float:
+        """Lines 5-7: wait out in-flight write-backs whose signature
+        holds *mask*, or abort if the snapshot is *frozen*."""
+        while self._updates:
+            live = [u for u in self._updates if u[1] > now]
             self._updates = live
-            blocking = [u for u in live if u.signature.query(addr)]
+            blocking = [end for signature, end in live if signature & mask == mask]
             if not blocking:
-                return now
-            if txn.frozen:
+                break
+            if frozen:
                 raise TransactionAborted("cpu-update-conflict")
-            now = max(u.end_ns for u in blocking)  # back_off()
-
-    def _record_read(self, txn: _TxnState, addr: int) -> None:
-        txn.read_sig.insert(addr)
-        if len(txn.read_addrs) % SUBSET_SIZE == 0:
-            txn.sub_sigs.append(self.config.new())
-        txn.sub_sigs[-1].insert(addr)
-        txn.read_addrs.append(addr)
+            now = max(blocking)  # back_off()
+        return now
 
     # ------------------------------------------------------------------
     def write(self, tid: int, addr: int, value: Any, now: float) -> float:
         txn = self._txns[tid]
         if addr not in txn.redo:
             txn.write_addrs.append(addr)
-            txn.write_sig.insert(addr)
+            txn.write_sig |= self.config.query_mask(addr)
         txn.redo[addr] = value  # lines 21-22
         return now + self.scaled(WRITE_NS)
 
@@ -304,8 +304,8 @@ class RococoTMBackend(TMBackend):
             read_addrs=tuple(txn.read_addrs),
             write_addrs=tuple(txn.write_addrs),
             snapshot=txn.valid_ts,
-            read_raw=txn.read_sig.raw,
-            write_raw=txn.write_sig.raw,
+            read_raw=txn.read_sig,
+            write_raw=txn.write_sig,
         )
         try:
             response = self.degradation.submit(request, now, self.stats)
@@ -337,7 +337,7 @@ class RococoTMBackend(TMBackend):
         writeback_end = ready + self.scaled(
             WRITEBACK_PER_WORD_NS * len(txn.write_addrs)
         )
-        self._updates.append(_UpdateEntry(txn.write_sig, writeback_end))
+        self._updates.append((txn.write_sig, writeback_end))
         for addr, value in txn.redo.items():
             self.memory.store(addr, value)
         self.commit_queue.append(txn.write_sig)
@@ -431,8 +431,8 @@ class RococoTMBackend(TMBackend):
                 self._label,
                 tuple(txn.read_addrs),
                 tuple(txn.write_addrs),
-                read_raw=txn.read_sig.raw,
-                write_raw=txn.write_sig.raw,
+                read_raw=txn.read_sig,
+                write_raw=txn.write_sig,
             )
         self._irrevocable.discard(tid)
         self._failures[tid] = 0
@@ -497,8 +497,8 @@ class RococoTMBackend(TMBackend):
             read_addrs=tuple(txn.read_addrs),
             write_addrs=tuple(txn.write_addrs),
             snapshot=txn.valid_ts,
-            read_raw=txn.read_sig.raw,
-            write_raw=txn.write_sig.raw,
+            read_raw=txn.read_sig,
+            write_raw=txn.write_sig,
         )
 
     def certify(self, request: ValidationRequest, now: float):
@@ -518,7 +518,7 @@ class RococoTMBackend(TMBackend):
             WRITEBACK_PER_WORD_NS * len(txn.write_addrs)
         )
         if txn.write_addrs:
-            self._updates.append(_UpdateEntry(txn.write_sig, writeback_end))
+            self._updates.append((txn.write_sig, writeback_end))
             for addr, value in txn.redo.items():
                 self.memory.store(addr, value)
             self.commit_queue.append(txn.write_sig)
@@ -527,8 +527,8 @@ class RococoTMBackend(TMBackend):
                 self._label,
                 tuple(txn.read_addrs),
                 tuple(txn.write_addrs),
-                read_raw=txn.read_sig.raw,
-                write_raw=txn.write_sig.raw,
+                read_raw=txn.read_sig,
+                write_raw=txn.write_sig,
             )
         self._failures[tid] = 0
         self._txns.pop(tid, None)
@@ -538,13 +538,7 @@ class RococoTMBackend(TMBackend):
         """Cluster-irrevocable read barrier: wait out in-flight
         write-backs covering *addr* (no transaction of our own to
         freeze, so this never aborts)."""
-        while True:
-            live = [u for u in self._updates if u.end_ns > now]
-            self._updates = live
-            blocking = [u for u in live if u.signature.query(addr)]
-            if not blocking:
-                return now
-            now = max(u.end_ns for u in blocking)
+        return self._update_set_barrier(self.config.query_mask(addr), now, False)
 
     def external_irrevocable_commit(
         self,
@@ -560,12 +554,12 @@ class RococoTMBackend(TMBackend):
         for addr, value in redo_items:
             self.memory.store(addr, value)
         if write_addrs:
-            signature = self.config.of(write_addrs)
+            signature = self.config.raw_of(write_addrs)
             self.commit_queue.append(signature)
             self.global_ts += 1
             self._label += 1
             self.engine.manager.record_external_commit(
-                self._label, read_addrs, write_addrs, write_raw=signature.raw
+                self._label, read_addrs, write_addrs, write_raw=signature
             )
 
     # ------------------------------------------------------------------

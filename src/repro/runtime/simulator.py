@@ -187,10 +187,6 @@ class Simulator:
         if self.bus.wants(event.kind):
             self.bus.emit(event)
 
-    # -- deprecated alias (pre-Driver spelling) -------------------------
-    def wake(self, tid: int, at_ns: float) -> None:
-        self.wake_at(tid, at_ns)
-
     # ------------------------------------------------------------------
     def _hook(self, fn, *args):
         """Invoke a backend hook with ``bus.in_backend`` raised, so

@@ -47,6 +47,7 @@ class SignatureConfig:
         "partitions",
         "partition_bits",
         "hashes",
+        "partition_masks",
         "_memo",
         "mask_cache_hits",
         "mask_cache_misses",
@@ -69,6 +70,10 @@ class SignatureConfig:
         self.partitions = partitions
         self.partition_bits = partition_bits
         self.hashes = hash_family(partitions, partition_bits.bit_length() - 1, seed)
+        lane = (1 << partition_bits) - 1
+        self.partition_masks = tuple(
+            lane << (i * partition_bits) for i in range(partitions)
+        )
         self._memo: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         self.mask_cache_hits = 0
         self.mask_cache_misses = 0
@@ -119,6 +124,23 @@ class SignatureConfig:
     def query_words(self, elements: Sequence[int]) -> int:
         """The union of the query masks of *elements*."""
         return self.raw_of(elements)
+
+    def overlaps(self, a: int, b: int) -> bool:
+        """Set-overlap test of two raw signatures — the operation whose
+        false positivity Fig. 7(b) analyses.
+
+        A shared element sets one bit per partition in *both*
+        signatures, so the AND of the signatures must be non-zero in
+        **every** partition; requiring all k partitions (rather than a
+        bare non-zero AND) is what makes partitioned filters usable for
+        intersection at all.  Sound: returns True for any real overlap;
+        may return True spuriously.
+        """
+        both = a & b
+        for lane in self.partition_masks:
+            if not both & lane:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     def bit_positions(self, element: int) -> List[int]:
@@ -187,27 +209,9 @@ class BloomSignature:
         return BloomSignature(self.config, self.raw & other.raw)
 
     def intersects(self, other: "BloomSignature") -> bool:
-        """Set-overlap test — the operation whose false positivity
-        Fig. 7(b) analyses.
-
-        A shared element sets one bit per partition in *both*
-        signatures, so the AND of the signatures must be non-zero in
-        **every** partition; requiring all k partitions (rather than a
-        bare non-zero AND) is what makes partitioned filters usable for
-        intersection at all.  Sound: returns True for any real overlap;
-        may return True spuriously.
-        """
+        """Set-overlap test (see :meth:`SignatureConfig.overlaps`)."""
         self._compatible(other)
-        both = self.raw & other.raw
-        if both == 0:
-            return False
-        width = self.config.partition_bits
-        mask = (1 << width) - 1
-        for _ in range(self.config.partitions):
-            if both & mask == 0:
-                return False
-            both >>= width
-        return True
+        return self.config.overlaps(self.raw, other.raw)
 
     def copy(self) -> "BloomSignature":
         return BloomSignature(self.config, self.raw)
@@ -218,7 +222,7 @@ class BloomSignature:
 
     # ------------------------------------------------------------------
     def popcount(self) -> int:
-        return self.raw.bit_count()
+        return bin(self.raw).count("1")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomSignature):

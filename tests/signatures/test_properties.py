@@ -69,3 +69,45 @@ class TestSignatureLaws:
             # Every non-empty signature sets at least one bit in each
             # of the k partitions (one per element, possibly shared).
             assert sig.popcount() >= CONFIG.partitions
+
+
+def _partition_loop_overlap(config, a, b):
+    """The per-partition shift loop ``BloomSignature.intersects`` ran
+    before the raw-int predicate: every partition's AND non-zero."""
+    both = a & b
+    if both == 0:
+        return False
+    width = config.partition_bits
+    mask = (1 << width) - 1
+    for _ in range(config.partitions):
+        if both & mask == 0:
+            return False
+        both >>= width
+    return True
+
+
+OVERLAP_CONFIGS = [
+    SignatureConfig(bits=512, partitions=4),
+    SignatureConfig(bits=512, partitions=8),
+    SignatureConfig(bits=64, partitions=2),
+]
+# A narrow address range so real overlaps are common next to aliases.
+dense_sets = st.sets(st.integers(min_value=0, max_value=4096), max_size=24)
+
+
+class TestOverlapPredicate:
+    @settings(max_examples=150)
+    @given(st.sampled_from(OVERLAP_CONFIGS), dense_sets, dense_sets)
+    def test_raw_predicate_equals_intersects_and_partition_loop(self, config, a, b):
+        sa, sb = config.of(a), config.of(b)
+        raw = config.overlaps(sa.raw, sb.raw)
+        assert raw == sa.intersects(sb)
+        assert raw == _partition_loop_overlap(config, sa.raw, sb.raw)
+        if a & b:
+            assert raw
+
+    @given(st.sampled_from(OVERLAP_CONFIGS), st.integers(min_value=0, max_value=2**512 - 1))
+    def test_raw_predicate_on_arbitrary_bit_patterns(self, config, raw):
+        raw &= (1 << config.bits) - 1
+        other = (1 << config.bits) - 1
+        assert config.overlaps(raw, other) == _partition_loop_overlap(config, raw, other)
