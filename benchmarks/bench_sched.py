@@ -6,11 +6,14 @@ infrastructure — but every figure's wall-clock bottoms out in
 trajectory for that loop.  Thread programs yield pure :class:`Work`
 (no transactions, no memory traffic), making the run scheduler-bound:
 the measured rate is driver steps per wall-clock second, for both
-implementations selected by ``REPRO_SCHED``:
+scheduling loops:
 
-* ``scan``   — the legacy O(T)-per-step linear scan (the pre-kernel
-  inner loop, kept for one release as the bit-identity reference);
-* ``kernel`` — the indexed min-heap (:mod:`repro.runtime.sched`).
+* ``scan``   — :class:`ScanSimulator`, the pre-kernel O(T)-per-step
+  linear scan, kept here (and only here) as the reference the kernel
+  is measured and bit-identity-tested against (``tests/runtime/
+  test_sched.py`` imports it);
+* ``kernel`` — :class:`repro.runtime.Simulator`, the indexed min-heap
+  (:mod:`repro.runtime.sched`).
 
 Running ``python benchmarks/bench_sched.py`` sweeps the thread grid
 and writes ``BENCH_sched.json`` (schema in docs/PERF.md); under
@@ -29,12 +32,46 @@ import json
 import os
 import time
 
-from repro.runtime import Simulator, TinySTMBackend, Work
+from repro.runtime import SimEvent, Simulator, TinySTMBackend, Work
 
 DEFAULT_THREADS = (1, 4, 14, 28, 64)
 DEFAULT_TOTAL_STEPS = 60_000
 #: acceptance floor for the kernel at the paper's 28-thread point.
 TARGET_SPEEDUP_AT_28 = 2.0
+
+
+class ScanSimulator(Simulator):
+    """The simulator with its pre-kernel scheduling loop: every step
+    rebuilds the runnable list and takes the ``(clock, tid)`` minimum
+    over all T threads.
+
+    Must never diverge from :class:`Simulator` in anything but
+    complexity.  The kernel still receives the park/wake bookkeeping
+    but is never asked to pick, so its end-of-run ``sched`` snapshot
+    is meaningless here.
+    """
+
+    def _loop(self) -> None:
+        threads = self._threads
+        bus = self.bus
+        steps = 0
+        while True:
+            runnable = [t for t in threads if not t.done and not t.parked]
+            if not runnable:
+                if any(t.parked for t in threads):
+                    raise RuntimeError(self._deadlock_message())
+                break
+            if steps >= self.max_steps:
+                raise RuntimeError(self._livelock_message(steps))
+            thread = min(runnable, key=lambda t: (t.clock, t.tid))
+            if bus.wants("step"):
+                bus.emit(SimEvent("step", thread.tid, thread.clock))
+            self._step(thread)
+            steps += 1
+
+
+#: the two scheduling loops, by the names BENCH_sched.json reports.
+SIMULATORS = {"scan": ScanSimulator, "kernel": Simulator}
 
 
 def _thread_grid():
@@ -59,19 +96,11 @@ def _make_program(steps_per_thread):
 def _measure(impl, n_threads, total_steps):
     """One timed run; returns (steps, seconds, steps_per_sec)."""
     steps_per_thread = max(50, total_steps // n_threads)
-    saved = os.environ.get("REPRO_SCHED")
-    os.environ["REPRO_SCHED"] = impl
-    try:
-        sim = Simulator(TinySTMBackend(), n_threads)
-        program = _make_program(steps_per_thread)
-        started = time.perf_counter()
-        sim.run([program] * n_threads)
-        elapsed = time.perf_counter() - started
-    finally:
-        if saved is None:
-            del os.environ["REPRO_SCHED"]
-        else:
-            os.environ["REPRO_SCHED"] = saved
+    sim = SIMULATORS[impl](TinySTMBackend(), n_threads)
+    program = _make_program(steps_per_thread)
+    started = time.perf_counter()
+    sim.run([program] * n_threads)
+    elapsed = time.perf_counter() - started
     # One step per Work yield plus the StopIteration step per thread.
     steps = n_threads * (steps_per_thread + 1)
     return steps, elapsed, steps / elapsed

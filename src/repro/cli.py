@@ -753,27 +753,6 @@ def _cmd_analyze(args) -> int:
     return 1 if new else 0
 
 
-def _cmd_lint(args) -> int:
-    # Deprecated alias: the lint rules migrated onto the analyzer
-    # framework; this keeps byte-compatible output and exit codes.
-    from .analysis import analyze_paths, parse_rules
-
-    print(
-        "repro lint is deprecated; use "
-        "`repro analyze --rules TM001-TM004` (see docs/ANALYSIS.md)",
-        file=sys.stderr,
-    )
-    try:
-        errors, _ = analyze_paths(args.paths, parse_rules("TM001-TM004"))
-    except FileNotFoundError as missing:
-        print(missing, file=sys.stderr)
-        return 2
-    for error in errors:
-        print(error)
-    print(f"{len(errors)} lint error(s) in {', '.join(args.paths)}")
-    return 1 if errors else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
@@ -1037,13 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoize results at PATH keyed on the repo source fingerprint",
     )
     pa.set_defaults(func=_cmd_analyze)
-
-    pl = sub.add_parser(
-        "lint",
-        help="deprecated alias for `analyze --rules TM001-TM004`",
-    )
-    pl.add_argument("paths", nargs="*", default=["src"])
-    pl.set_defaults(func=_cmd_lint)
 
     return parser
 

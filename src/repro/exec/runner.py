@@ -133,6 +133,9 @@ class ProcessPoolRunner(Runner):
     def _execute(
         self, specs: List[ExperimentSpec], progress: Progress
     ) -> List[RunStats]:
+        # Reset per run: a reason left by an earlier pool death would
+        # make this run keep only ready results and redo the rest here.
+        self.fallback_reason = None
         if len(specs) <= 1 or self.max_workers == 1:
             return SerialRunner()._execute(specs, progress)
         context = _pick_context()

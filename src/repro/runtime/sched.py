@@ -30,8 +30,9 @@ threads.  Lazy invalidation cannot perturb the order: stale entries are
 skipped regardless of where they sort, and every runnable thread's
 valid entry carries its current clock by construction.  The kernel is
 therefore schedule-preserving by construction, which the bit-identity
-gate (``tests/runtime/test_sched.py``, CI ``sched-identity``) enforces
-run-for-run against the legacy scan kept behind ``REPRO_SCHED=scan``.
+tests (``tests/runtime/test_sched.py``) enforce run-for-run against the
+pre-kernel linear scan, kept as the reference ``ScanSimulator`` in
+``benchmarks/bench_sched.py``.
 
 The kernel also keeps the deadlock check O(1): ``n_live`` and
 ``n_parked`` counters replace the old per-wakeup sweep over all

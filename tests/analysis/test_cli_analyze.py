@@ -1,4 +1,4 @@
-"""The `repro analyze` command and the deprecated `repro lint` alias."""
+"""The `repro analyze` command, alone and restricted to TM001-TM004."""
 
 import json
 from pathlib import Path
@@ -70,23 +70,20 @@ class TestAnalyzeCli:
 
 
 class TestLintAlias:
-    def test_warns_and_stays_compatible(self, capsys):
-        assert main(["lint", str(SRC)]) == 0
-        captured = capsys.readouterr()
-        assert "0 lint error(s)" in captured.out
-        assert "deprecated" in captured.err
+    """``repro analyze --rules TM001-TM004``: the rule set the former
+    ``repro lint`` alias ran."""
 
     def test_legacy_rules_only(self, tmp_path, capsys):
         # TM101-only material (entropy outside the TM001 directories)
-        # must NOT fail the legacy alias.
+        # must NOT fail the legacy rule set.
         bad = tmp_path / "mod.py"
         bad.write_text(SEEDED)
-        assert main(["lint", str(bad)]) == 0
+        assert main(["analyze", str(bad), "--rules", "TM001-TM004"]) == 0
         capsys.readouterr()
 
     def test_tm001_still_fires(self, tmp_path, capsys):
         bad = tmp_path / "cc" / "entropy.py"
         bad.parent.mkdir()
         bad.write_text("import time\nNOW = time.time()\n")
-        assert main(["lint", str(bad)]) == 1
+        assert main(["analyze", str(bad), "--rules", "TM001-TM004"]) == 1
         assert "TM001" in capsys.readouterr().out

@@ -71,9 +71,10 @@ class TestSuppressions:
     def test_bare_ignore_suppresses_all(self):
         assert analyze_source("import secrets  # tm: ignore\n", "x.py") == []
 
-    def test_legacy_marker_honored(self):
+    def test_legacy_marker_not_honored(self):
+        # ``# tm: ignore`` is the only suppress-all spelling.
         source = "import secrets  # tm-lint: ignore\n"
-        assert analyze_source(source, "x.py") == []
+        assert [f.rule for f in analyze_source(source, "x.py")] == ["TM101"]
 
     def test_parser(self):
         assert suppressed_rules("x = 1") is None

@@ -1,8 +1,6 @@
 """Cluster determinism: pool == serial, and single-shard ClusterTM
 stamps byte-identically to plain ROCoCoTM (modulo the backend name)."""
 
-import pytest
-
 from repro.exec import (
     ExperimentSpec,
     ProcessPoolRunner,
@@ -35,12 +33,10 @@ class TestPoolIdentity:
 class TestSingleShardStampIdentity:
     """``ClusterTM(shards=1)`` and plain ``ROCoCoTM`` produce
     byte-identical ``BENCH_stamp.json`` files once the backend-name
-    strings are normalized, under both scheduler implementations."""
+    strings are normalized."""
 
-    @pytest.mark.parametrize("sched", ["scan", "kernel"])
-    def test_stamp_bytes_match(self, sched, tmp_path, monkeypatch):
+    def test_stamp_bytes_match(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-        monkeypatch.setenv("REPRO_SCHED", sched)
         stamps = {}
         for backend_cls in (RococoTMBackend, ClusterTMBackend):
             specs = matrix_specs(
@@ -52,7 +48,7 @@ class TestSingleShardStampIdentity:
             )
             results = SerialRunner().run(specs)
             matrix = matrix_from_results(specs, results)
-            out = tmp_path / f"BENCH_stamp_{backend_cls.name}_{sched}.json"
+            out = tmp_path / f"BENCH_stamp_{backend_cls.name}.json"
             write_bench_stamp(str(out), matrix, specs, 0.0)
             stamps[backend_cls.name] = out.read_text()
         scrubbed = stamps["ClusterTM"].replace("ClusterTM", "ROCoCoTM")

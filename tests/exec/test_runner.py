@@ -94,6 +94,24 @@ class TestProcessPoolRunner:
         assert _dicts(serial) == _dicts(pooled)
         assert serial_s / pooled_s > 1.5
 
+    def test_stale_fallback_reason_is_reset_per_run(self, monkeypatch):
+        # A pool death in an earlier run must not push this run's cells
+        # into the parent, where each would be computed a second time.
+        in_parent = []
+        execute = ExperimentSpec.execute
+
+        def recording_execute(spec):
+            in_parent.append(spec.label())  # forked workers append to their copy
+            return execute(spec)
+
+        monkeypatch.setattr(ExperimentSpec, "execute", recording_execute)
+        runner = ProcessPoolRunner(max_workers=2)
+        runner.fallback_reason = "BrokenPipeError: pool died in an earlier run"
+        results = runner.run(MINI_GRID)
+        assert in_parent == []
+        assert runner.fallback_reason is None
+        assert _dicts(results) == _dicts(SerialRunner().run(MINI_GRID))
+
     def test_cache_short_circuits_pool(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         first = ProcessPoolRunner(max_workers=2, cache=cache).run(MINI_GRID)

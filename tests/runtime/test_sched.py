@@ -1,17 +1,22 @@
 """The scheduling kernel: unit behavior + the scan/kernel identity gate.
 
 The kernel (:mod:`repro.runtime.sched`) must be *schedule-preserving*:
-its heap orders by exactly the ``(clock, tid)`` key the legacy linear
-scan minimized over, so every run — stats, traces, event streams — is
-byte-identical whichever implementation drives it.  The classes below
-test the kernel in isolation, then enforce the identity end-to-end
-across every backend and seeds {0, 1} (the in-repo half of the CI
-``sched-identity`` gate; the CI half byte-compares BENCH_stamp.json).
+its heap orders by exactly the ``(clock, tid)`` key the pre-kernel
+linear scan minimized over, so every run — stats, traces, event
+streams — is byte-identical whichever loop drives it.  The scan lives
+on only as :class:`ScanSimulator` in ``benchmarks/bench_sched.py``.
+The classes below test the kernel in isolation, then enforce the
+identity end-to-end across every backend and seeds {0, 1}, and on the
+real-workload fig10 mini-grid (kmeans + ssca2 at 1 and 4 threads).
 """
 
 import pytest
 
+from benchmarks.bench_sched import SIMULATORS, ScanSimulator
 from repro.analysis.registry import EVENT_SCHEMAS
+from repro.bench import matrix_specs
+from repro.exec import SerialRunner
+from repro.exec.spec import WORKLOAD_REGISTRY
 from repro.runtime import (
     AwaitBarrier,
     CoarseLockBackend,
@@ -30,7 +35,6 @@ from repro.runtime import (
     Work,
     Write,
 )
-from repro.runtime.simulator import SCHED_ENV
 
 from .conftest import make_counter_program, make_transfer_program
 
@@ -191,8 +195,7 @@ def barrier_phase_program(memory, n_threads):
     return program
 
 
-def run_grid(backend_factory, impl, seed, monkeypatch):
-    monkeypatch.setenv(SCHED_ENV, impl)
+def run_grid(backend_factory, impl, seed):
     results = []
     for n_threads, workload in (
         (4, "counter"),
@@ -208,7 +211,7 @@ def run_grid(backend_factory, impl, seed, monkeypatch):
             program = make_transfer_program(base, 16, transfers=15, seed_shift=seed)
         else:
             program = barrier_phase_program(memory, n_threads)
-        sim = Simulator(
+        sim = SIMULATORS[impl](
             backend_factory(),
             n_threads,
             memory=memory,
@@ -223,48 +226,64 @@ def run_grid(backend_factory, impl, seed, monkeypatch):
 class TestScheduleIdentity:
     @pytest.mark.parametrize("backend_factory", CONTENDED_BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_kernel_matches_scan_bit_for_bit(
-        self, backend_factory, seed, monkeypatch
-    ):
-        scan = run_grid(backend_factory, "scan", seed, monkeypatch)
-        kernel = run_grid(backend_factory, "kernel", seed, monkeypatch)
+    def test_kernel_matches_scan_bit_for_bit(self, backend_factory, seed):
+        scan = run_grid(backend_factory, "scan", seed)
+        kernel = run_grid(backend_factory, "kernel", seed)
         assert scan == kernel
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_sequential_matches(self, seed, monkeypatch):
+    def test_sequential_matches(self, seed):
         def run(impl):
-            monkeypatch.setenv(SCHED_ENV, impl)
             memory = Memory()
             counter = memory.alloc(1)
-            sim = Simulator(SequentialBackend(), 1, memory=memory, seed=seed)
+            sim = SIMULATORS[impl](
+                SequentialBackend(), 1, memory=memory, seed=seed
+            )
             stats = sim.run([make_counter_program(counter, 25)])
             return stats.to_dict(), memory.load(counter)
 
         assert run("scan") == run("kernel")
 
-    def test_default_impl_is_the_kernel(self, monkeypatch):
-        monkeypatch.delenv(SCHED_ENV, raising=False)
+    def test_default_impl_is_the_kernel(self):
         memory = Memory()
         counter = memory.alloc(1)
         sim = Simulator(TinySTMBackend(), 2, memory=memory)
         sim.run([make_counter_program(counter, 4)] * 2)
         assert sim._kernel is not None
+        assert sim._kernel.picks > 0
 
-    def test_scan_env_disables_the_kernel(self, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, "scan")
-        memory = Memory()
-        counter = memory.alloc(1)
-        sim = Simulator(TinySTMBackend(), 2, memory=memory)
-        sim.run([make_counter_program(counter, 4)] * 2)
-        assert sim._kernel is None
+
+class TestStampGridIdentity:
+    """The fig10 mini-grid (kmeans + ssca2, 1 and 4 threads, scale 0.1)
+    on real workloads: every cell's RunStats are identical whether the
+    scan or the kernel schedules it."""
+
+    def test_fig10_mini_grid_matches_scan(self, monkeypatch):
+        specs = matrix_specs(
+            workloads=[WORKLOAD_REGISTRY["kmeans"], WORKLOAD_REGISTRY["ssca2"]],
+            threads=(1, 4),
+            scale=0.1,
+        )
+        kernel = [s.to_dict() for s in SerialRunner().run(specs)]
+
+        scan_sims = []
+
+        def scan_simulator(*args, **kwargs):
+            sim = ScanSimulator(*args, **kwargs)
+            scan_sims.append(sim)
+            return sim
+
+        monkeypatch.setattr("repro.stamp.common.Simulator", scan_simulator)
+        scan = [s.to_dict() for s in SerialRunner().run(specs)]
+        assert len(scan_sims) == len(specs)  # every cell ran on the scan
+        assert scan == kernel
 
 
 # ----------------------------------------------------------------------
 # The end-of-run "sched" event
 # ----------------------------------------------------------------------
 class TestSchedEvent:
-    def _run(self, monkeypatch, impl):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    def _run(self):
         memory = Memory()
         counter = memory.alloc(1)
         sim = Simulator(TinySTMBackend(), 3, memory=memory)
@@ -273,8 +292,8 @@ class TestSchedEvent:
         sim.run([make_counter_program(counter, 10)] * 3)
         return seen
 
-    def test_kernel_publishes_one_snapshot(self, monkeypatch):
-        events = self._run(monkeypatch, "kernel")
+    def test_kernel_publishes_one_snapshot(self):
+        events = self._run()
         assert len(events) == 1
         data = events[0].data
         assert data["picks"] > 0
@@ -284,12 +303,8 @@ class TestSchedEvent:
         assert data["heap_high_water"] == 3
         assert 0.0 <= data["lazy_invalidation_ratio"] < 1.0
 
-    def test_scan_path_publishes_nothing(self, monkeypatch):
-        assert self._run(monkeypatch, "scan") == []
-
-    def test_unobserved_runs_emit_nothing(self, monkeypatch):
+    def test_unobserved_runs_emit_nothing(self):
         # No subscriber => wants("sched") is False => zero event cost.
-        monkeypatch.setenv(SCHED_ENV, "kernel")
         memory = Memory()
         counter = memory.alloc(1)
         sim = Simulator(TinySTMBackend(), 2, memory=memory)
@@ -307,10 +322,9 @@ def spinning_program(tid):
 
 class TestRunLimits:
     @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_max_steps_counts_exactly(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    def test_max_steps_counts_exactly(self, impl):
         steps_seen = []
-        sim = Simulator(SequentialBackend(), 1, max_steps=5)
+        sim = SIMULATORS[impl](SequentialBackend(), 1, max_steps=5)
         sim.bus.subscribe(lambda e: steps_seen.append(e.time), kinds=("step",))
         with pytest.raises(RuntimeError, match="max_steps=5"):
             sim.run([spinning_program])
@@ -318,22 +332,20 @@ class TestRunLimits:
         assert len(steps_seen) == 5
 
     @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_livelock_message_carries_thread_snapshot(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
-        sim = Simulator(SequentialBackend(), 1, max_steps=3)
+    def test_livelock_message_carries_thread_snapshot(self, impl):
+        sim = SIMULATORS[impl](SequentialBackend(), 1, max_steps=3)
         with pytest.raises(RuntimeError, match=r"t0 runnable clock=\d+ns"):
             sim.run([spinning_program])
 
     @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_deadlock_message_names_parked_threads(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    def test_deadlock_message_names_parked_threads(self, impl):
         barrier = SimBarrier(parties=3)  # one party short: never releases
 
         def program(tid):
             yield Work(5 * tid)
             yield AwaitBarrier(barrier)
 
-        sim = Simulator(TinySTMBackend(), 2)
+        sim = SIMULATORS[impl](TinySTMBackend(), 2)
         with pytest.raises(RuntimeError, match="deadlock") as err:
             sim.run([program] * 2)
         message = str(err.value)
@@ -346,8 +358,7 @@ class TestRunLimits:
 # ----------------------------------------------------------------------
 class TestBarrierReuse:
     @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_two_rounds_on_one_object(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    def test_two_rounds_on_one_object(self, impl):
         barrier = SimBarrier(parties=3)
         passed = []
 
@@ -362,7 +373,7 @@ class TestBarrierReuse:
             passed.append(("round2", tid))
 
         del passed[:]
-        Simulator(TinySTMBackend(), 3).run([program] * 3)
+        SIMULATORS[impl](TinySTMBackend(), 3).run([program] * 3)
         assert sorted(p for p in passed if p[0] == "round1") == [
             ("round1", 0),
             ("round1", 1),
@@ -375,8 +386,7 @@ class TestBarrierReuse:
         ]
 
     @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_waiting_list_is_fresh_per_round(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    def test_waiting_list_is_fresh_per_round(self, impl):
         barrier = SimBarrier(parties=2)
 
         def program(tid):
@@ -384,12 +394,11 @@ class TestBarrierReuse:
                 yield AwaitBarrier(barrier)
                 yield Work(1 + tid)
 
-        Simulator(TinySTMBackend(), 2).run([program] * 2)
+        SIMULATORS[impl](TinySTMBackend(), 2).run([program] * 2)
         assert barrier.waiting == []
 
-    def test_release_times_identical_across_impls(self, monkeypatch):
+    def test_release_times_identical_across_impls(self):
         def run(impl):
-            monkeypatch.setenv(SCHED_ENV, impl)
             barrier = SimBarrier(parties=4)
 
             def program(tid):
@@ -398,7 +407,7 @@ class TestBarrierReuse:
                 yield Work(3)
                 yield AwaitBarrier(barrier)
 
-            sim = Simulator(TinySTMBackend(), 4)
+            sim = SIMULATORS[impl](TinySTMBackend(), 4)
             stats = sim.run([program] * 4)
             return stats.makespan_ns
 

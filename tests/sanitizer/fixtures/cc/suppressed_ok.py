@@ -4,4 +4,4 @@ import random
 
 
 def draw():
-    return random.random()  # tm-lint: ignore
+    return random.random()  # tm: ignore

@@ -1,14 +1,24 @@
-"""The AST lint pass: each rule demonstrated on a negative fixture."""
+"""The TM001-TM004 analyzer rules: each demonstrated on a negative fixture."""
 
 from pathlib import Path
 
-from repro.sanitizer import lint_paths, lint_source
+from repro.analysis import analyze_paths, analyze_source, parse_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
+LINT_RULES = parse_rules("TM001-TM004")
+
+
+def lint_paths(paths):
+    findings, _ = analyze_paths(paths, LINT_RULES)
+    return findings
+
+
+def lint_source(source, path):
+    return analyze_source(source, path, LINT_RULES)
 
 
 def codes(errors):
-    return sorted({e.code for e in errors})
+    return sorted({e.rule for e in errors})
 
 
 class TestNegativeFixtures:
@@ -81,7 +91,7 @@ class TestScoping:
 
     def test_syntax_error_reported_not_raised(self):
         errors = lint_source("def broken(:\n", "src/repro/cc/x.py")
-        assert len(errors) == 1 and errors[0].code == "TM000"
+        assert len(errors) == 1 and errors[0].rule == "TM000"
 
 
 class TestRepoIsClean:

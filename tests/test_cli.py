@@ -208,23 +208,32 @@ class TestSanitizeCli:
 
 
 class TestLintCli:
+    """The TM001-TM004 rule set through ``repro analyze --rules``."""
+
     def test_src_is_clean(self, capsys):
         from pathlib import Path
 
         src = Path(__file__).resolve().parents[1] / "src"
-        assert main(["lint", str(src)]) == 0
-        assert "0 lint error(s)" in capsys.readouterr().out
+        assert main(["analyze", str(src), "--rules", "TM001-TM004"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_bad_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "cc" / "entropy.py"
         bad.parent.mkdir()
         bad.write_text("import time\nNOW = time.time()\n")
-        assert main(["lint", str(bad)]) == 1
+        assert main(["analyze", str(bad), "--rules", "TM001-TM004"]) == 1
         assert "TM001" in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert main(["lint", str(tmp_path / "nope")]) == 2
+        nope = str(tmp_path / "nope")
+        assert main(["analyze", nope, "--rules", "TM001-TM004"]) == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_lint_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["lint", "src"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
 
 class TestSupervisedCli:
