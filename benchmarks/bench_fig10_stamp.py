@@ -23,7 +23,12 @@ import time
 import pytest
 
 from repro.bench import FIG10_THREADS, matrix_from_results, matrix_specs, print_table
-from repro.exec import ResultCache, default_runner, write_bench_stamp
+from repro.exec import (
+    ResultCache,
+    SupervisorPolicy,
+    default_runner,
+    write_bench_stamp,
+)
 from repro.stamp import ALL_WORKLOADS
 
 SCALE = 0.5
@@ -37,36 +42,32 @@ def matrix():
     Environment knobs (all optional; defaults reproduce the old serial
     behavior exactly — results are bit-identical either way):
 
-    * ``REPRO_BENCH_JOBS``  — shard cells across N processes (0 = one
-      per core);
+    * ``REPRO_BENCH_JOBS``  — shard cells across N supervised worker
+      processes (0 = one per core);
     * ``REPRO_BENCH_CACHE`` — content-addressed result-cache directory;
     * ``REPRO_BENCH_STAMP`` — write machine-readable sweep results
       (specs, cells, wall-clock, cache hit rate) to this path;
     * ``REPRO_BENCH_TIMEOUT`` / ``REPRO_BENCH_RETRIES`` /
-      ``REPRO_BENCH_RESUME`` — any of these routes the sweep through
-      :class:`~repro.exec.SupervisedRunner`: per-cell deadline
-      (seconds), retries before quarantine, and the crash-resumable
-      journal path (see docs/EXECUTION.md).
+      ``REPRO_BENCH_RESUME`` — supervision settings, which route even
+      a one-job sweep through :class:`~repro.exec.SupervisedRunner`:
+      per-cell deadline (seconds), retries before quarantine, and the
+      crash-resumable journal path (see docs/EXECUTION.md).
     """
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
     cache = ResultCache(cache_dir) if cache_dir else None
     timeout = os.environ.get("REPRO_BENCH_TIMEOUT")
     retries = os.environ.get("REPRO_BENCH_RETRIES")
-    journal = os.environ.get("REPRO_BENCH_RESUME")
-    if timeout or retries or journal:
-        from repro.exec import SupervisedRunner, SupervisorPolicy
-
+    policy = None
+    if timeout or retries:
         policy = SupervisorPolicy(
             timeout_s=float(timeout) if timeout else None,
             max_retries=int(retries) if retries else 2,
         )
-        runner = SupervisedRunner(
-            max_workers=jobs, cache=cache, policy=policy,
-            journal=journal, resume=bool(journal),
-        )
-    else:
-        runner = default_runner(jobs, cache=cache)
+    runner = default_runner(
+        jobs, cache=cache, policy=policy,
+        journal=os.environ.get("REPRO_BENCH_RESUME") or None,
+    )
     specs = matrix_specs(scale=SCALE, seed=SEED)
     started = time.perf_counter()
     results = runner.run(specs)

@@ -3,7 +3,7 @@
 Since the exec-layer refactor the harness no longer runs anything
 itself: it *names* the grid as :class:`~repro.exec.ExperimentSpec`
 values and hands the batch to a :class:`~repro.exec.Runner` — serial
-by default, process-pool when the caller wants the cores, cache-aware
+by default, supervised workers when the caller wants the cores, cache-aware
 when given a :class:`~repro.exec.ResultCache`.  Cell values are
 identical whichever runner executes them (each spec is a
 self-contained deterministic simulation; see docs/EXECUTION.md).
@@ -193,7 +193,7 @@ def run_matrix(
     """Run the full grid; speedups are vs the sequential baseline.
 
     ``runner`` defaults to :class:`~repro.exec.SerialRunner`; pass a
-    :class:`~repro.exec.ProcessPoolRunner` to shard cells across host
+    :class:`~repro.exec.SupervisedRunner` to shard cells across host
     cores (results are bit-identical).  ``cache`` is only consulted
     when the caller did not bring a runner of their own.
     """

@@ -52,7 +52,8 @@ from .exec import (
     WORKLOAD_REGISTRY,
     ExperimentSpec,
     ResultCache,
-    SerialRunner,
+    SupervisedRunner,
+    SupervisorPolicy,
     default_runner,
     write_bench_stamp,
 )
@@ -151,9 +152,10 @@ def add_supervision_args(sub_parser) -> None:
     """
     group = sub_parser.add_argument_group(
         "supervision",
-        "any of these flags routes the sweep through SupervisedRunner "
-        "(deadlines, retries, quarantine, crash-resumable journal); "
-        "exit 3 = completed with quarantined cells",
+        "any of these flags, like --jobs N, routes the sweep through "
+        "SupervisedRunner (deadlines, retries, quarantine, "
+        "crash-resumable journal); exit 3 = completed with quarantined "
+        "cells",
     )
     group.add_argument(
         "--timeout",
@@ -189,18 +191,9 @@ def add_supervision_args(sub_parser) -> None:
     )
 
 
-def _supervised_runner(args, cache):
-    """A :class:`SupervisedRunner` when any supervision flag is set,
-    else None (callers keep their plain serial/pool runner)."""
-    if (
-        args.timeout is None
-        and args.max_retries is None
-        and not args.resume
-        and not args.worker_faults
-    ):
-        return None
-    from .exec import SupervisedRunner, SupervisorPolicy
-
+def _sweep_runner(args, cache):
+    """The runner for a stamp/chaos/fig10 sweep: ``--jobs`` and the
+    supervision flags, mapped onto :func:`~repro.exec.default_runner`."""
     policy_kwargs = {}
     if args.timeout is not None:
         policy_kwargs["timeout_s"] = args.timeout
@@ -213,19 +206,20 @@ def _supervised_runner(args, cache):
         worker_faults = WorkerFaultPlan.parse(
             args.worker_faults, seed=getattr(args, "fault_seed", 0) or 0
         )
-    return SupervisedRunner(
-        max_workers=getattr(args, "jobs", None),
+    return default_runner(
+        getattr(args, "jobs", None),
         cache=cache,
-        policy=SupervisorPolicy(**policy_kwargs),
+        policy=SupervisorPolicy(**policy_kwargs) if policy_kwargs else None,
         journal=args.resume,
-        resume=bool(args.resume),
         worker_faults=worker_faults,
     )
 
 
 def _report_supervision(runner) -> int:
     """Summarize a supervised sweep on stderr; the exit code is 3 when
-    cells were quarantined, else 0."""
+    cells were quarantined, else 0 (always 0 for a serial runner)."""
+    if not isinstance(runner, SupervisedRunner):
+        return 0
     print(runner.summary(), file=sys.stderr)
     if not runner.quarantined:
         return 0
@@ -315,8 +309,7 @@ def _cmd_fig10(args) -> int:
 
     workloads = [WORKLOADS[name] for name in args.workloads] if args.workloads else ALL_WORKLOADS
     cache = ResultCache(args.cache) if args.cache else None
-    supervised = _supervised_runner(args, cache)
-    runner = supervised if supervised is not None else default_runner(args.jobs, cache=cache)
+    runner = _sweep_runner(args, cache)
     shards = getattr(args, "shards", 1)
     fig_backends = ["TinySTM", "TSX", "ROCoCoTM"]
     backend_factories = list(FIG10_BACKENDS)
@@ -394,9 +387,7 @@ def _cmd_fig10(args) -> int:
             [[nt, ratio("ClusterTM", "ROCoCoTM", nt)] for nt in args.threads],
             title=f"Cluster scale-out ratio ({shards} shards)",
         )
-    if supervised is not None:
-        return _report_supervision(supervised)
-    return 0
+    return _report_supervision(runner)
 
 
 def _cmd_fig11(args) -> int:
@@ -451,15 +442,11 @@ def _cmd_stamp(args) -> int:
         shards=shards,
     )
     cache = ResultCache(args.cache) if args.cache else None
-    runner = _supervised_runner(args, cache)
-    exit_code = 0
-    if runner is None:
-        [stats] = SerialRunner(cache=cache).run([spec])
-    else:
-        [stats] = runner.run([spec])
-        exit_code = _report_supervision(runner)
-        if stats is None:
-            return exit_code
+    runner = _sweep_runner(args, cache)
+    [stats] = runner.run([spec])
+    exit_code = _report_supervision(runner)
+    if stats is None:
+        return exit_code
     print(stats.summary())
     if stats.validations:
         print(f"mean validation: {stats.mean_validation_us:.3f} us/txn")
@@ -482,7 +469,7 @@ def _cmd_chaos(args) -> int:
         )
     rows = []
     violations = 0
-    supervised = None
+    runner = None
     if args.sanitize:
         for sched in schedules:
             [(_, report, backend)] = chaos_sanitize(
@@ -518,10 +505,7 @@ def _cmd_chaos(args) -> int:
             for sched in schedules
         ]
         cache = ResultCache(args.cache) if args.cache else None
-        supervised = _supervised_runner(args, cache)
-        runner = supervised if supervised is not None else default_runner(
-            args.jobs, cache=cache
-        )
+        runner = _sweep_runner(args, cache)
         results = runner.run(specs)
         for sched, stats in zip(schedules, results):
             if stats is None:  # quarantined under supervision
@@ -540,9 +524,7 @@ def _cmd_chaos(args) -> int:
     )
     if violations:
         return 1
-    if supervised is not None:
-        return _report_supervision(supervised)
-    return 0
+    return _report_supervision(runner)
 
 
 def _cmd_sanitize(args) -> int:
@@ -787,8 +769,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="shard cells across N processes (0 = one per core); "
-        "results are bit-identical to serial",
+        help="shard cells across N supervised worker processes (0 = one "
+        "per core); results are bit-identical to serial, and a failing "
+        "cell is retried, then quarantined (exit 3)",
     )
     p10.add_argument(
         "--cache",

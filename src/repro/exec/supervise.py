@@ -1,18 +1,18 @@
 """Supervised sweep execution: deadlines, retries, quarantine, resume.
 
-:class:`~repro.exec.runner.ProcessPoolRunner` trusts its workers: a
-hung cell stalls the whole sweep, a killed worker can wedge the pool,
-and the blanket fallback used to rerun *everything* serially.  The
-:class:`SupervisedRunner` here removes that trust, one mechanism per
-failure mode:
+:class:`SupervisedRunner` is the one multi-process runner.  It shards
+cells over ``max_workers`` slots, each running one long-lived worker
+process that takes cells one at a time over its own pipe, and it does
+not trust those workers — one mechanism per failure mode:
 
-* **deadlines** — every cell runs in its own worker process with a
-  per-cell wall-clock deadline; a cell that blows it is killed and
-  retried (``runner.timeouts``).
+* **deadlines** — every cell has a per-cell wall-clock deadline; a
+  cell that blows it has its worker killed and is retried
+  (``runner.timeouts``).  Only a killed or dead worker is replaced; a
+  cell that raises or reports garbage leaves its worker running.
 * **heartbeats** — workers beat a shared timestamp array from a
-  daemon thread; a process that stops beating (frozen, SIGSTOPped,
-  or dead before its first beat) is detected long before the deadline
-  and killed (failure kind ``hang``).
+  daemon thread; a busy process that stops beating (frozen,
+  SIGSTOPped, or dead before its first beat) is detected long before
+  the deadline and killed (failure kind ``hang``).
 * **crash detection** — a worker that exits without reporting (a
   SIGKILL, an ``os._exit``, an OOM kill) is detected via its exit
   code and retried (failure kind ``crash``).
@@ -53,7 +53,6 @@ import signal
 import threading
 from collections import deque
 from dataclasses import dataclass
-from queue import Empty
 from typing import Dict, List, Optional, Sequence
 
 # The supervisor's scheduling clock (see the module docstring): every
@@ -65,12 +64,11 @@ from ..obs.spans import Marker
 from ..runtime import RunStats
 from .cache import ResultCache
 from .journal import SweepJournal
-from .runner import Runner, _pick_context, run_payload
+from .runner import Runner, SerialRunner, run_payload
 from .spec import ExperimentSpec
 
-Progress = Optional[object]
-
-#: how long a hang-faulted worker sleeps; any sane deadline fires first.
+#: how long a hang-faulted worker sleeps where there is no SIGSTOP;
+#: any sane deadline fires first.
 _HANG_SLEEP_S = 3600.0
 _CRASH_EXIT_CODE = 86
 
@@ -124,48 +122,77 @@ def _beat_forever(heartbeats, slot: int, period_s: float) -> None:
         _sleep(period_s)
 
 
-def _supervised_worker(
-    queue, heartbeats, slot, index, attempt, payload, fault, heartbeat_s
-) -> None:
-    """One cell in one process.  Module-level and dict-in/dict-out so
-    it pickles under ``spawn``.  *fault* applies a deterministic
-    worker-fault model (:mod:`repro.faults.worker`) in-situ."""
-    if fault == "hang":
-        # Frozen before the first heartbeat: the supervisor sees a
-        # silent worker (heartbeat staleness) or a blown deadline.
-        _sleep(_HANG_SLEEP_S)
-        os._exit(_CRASH_EXIT_CODE)
+def _worker_loop(conn, supervisor_end, heartbeats, slot, heartbeat_s) -> None:
+    """One long-lived worker: runs the cells its slot is sent over
+    *conn*, one at a time, until the ``None`` stop sentinel or until
+    the supervisor is gone.  Module-level and dict-in/dict-out so it
+    pickles under ``spawn``.  Each job carries a deterministic
+    worker-fault model (:mod:`repro.faults.worker`) applied in-situ."""
+    # A forked worker inherits the supervisor's end of its own pipe;
+    # closing it lets a SIGKILLed supervisor show up here as EOF.
+    supervisor_end.close()
     if heartbeats is not None:
         threading.Thread(
             target=_beat_forever,
             args=(heartbeats, slot, heartbeat_s or 0.5),
             daemon=True,
         ).start()
-    if fault == "crash":
-        if hasattr(signal, "SIGKILL"):
-            os.kill(os.getpid(), signal.SIGKILL)
-        os._exit(_CRASH_EXIT_CODE)  # non-POSIX stand-in
     try:
-        out = run_payload(payload)
-    except BaseException as failure:  # report, don't vanish
-        queue.put(("error", index, attempt, f"{type(failure).__name__}: {failure}"))
-        return
-    if fault == "garbage":
-        out = {"oops": "not a RunStats payload"}
-    queue.put(("ok", index, attempt, out))
+        while True:
+            job = conn.recv()
+            if job is None:
+                return
+            payload, fault = job
+            if fault == "hang":
+                # Freeze the whole worker, heartbeat thread included: the
+                # supervisor sees heartbeat staleness or a blown deadline.
+                if hasattr(signal, "SIGSTOP"):
+                    os.kill(os.getpid(), signal.SIGSTOP)
+                _sleep(_HANG_SLEEP_S)  # non-POSIX stand-in: deadline only
+                os._exit(_CRASH_EXIT_CODE)
+            if fault == "crash":
+                if hasattr(signal, "SIGKILL"):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(_CRASH_EXIT_CODE)  # non-POSIX stand-in
+            try:
+                out = run_payload(payload)
+            except Exception as failure:  # report, then take the next cell
+                conn.send(("error", f"{type(failure).__name__}: {failure}"))
+                continue
+            if fault == "garbage":
+                out = {"oops": "not a RunStats payload"}
+            conn.send(("ok", out))
+    except (EOFError, OSError):
+        return  # the supervisor died without stopping us
 
 
 # ----------------------------------------------------------------------
 # supervisor side
 # ----------------------------------------------------------------------
+def _pick_context():
+    """The cheapest available start method (fork > spawn > None)."""
+    methods = multiprocessing.get_all_start_methods()
+    for method in ("fork", "spawn"):
+        if method in methods:
+            return multiprocessing.get_context(method)
+    return None
+
+
 @dataclass
-class _Running:
-    process: object
-    slot: int
-    index: int
-    attempt: int
-    started_s: float
-    fault: Optional[str]
+class _Slot:
+    """One of ``max_workers`` worker slots and the cell it is running.
+
+    The process outlives its cells; it is replaced only after it was
+    killed (deadline, hang) or died (crash)."""
+
+    number: int
+    process: object = None
+    conn: object = None
+    #: the cell in flight, or None while the slot is idle.
+    index: Optional[int] = None
+    attempt: int = 0
+    started_s: float = 0.0
+    fault: Optional[str] = None
 
 
 class SupervisedRunner(Runner):
@@ -174,8 +201,8 @@ class SupervisedRunner(Runner):
 
     ``run()`` returns one entry per spec in input order, as every
     runner does — but a quarantined cell's entry is ``None`` (with
-    diagnostics in :attr:`quarantined`), so callers must be prepared
-    for holes when they opt into supervision.
+    diagnostics in :attr:`quarantined`), so every caller of a
+    multi-process sweep must be prepared for holes.
     """
 
     name = "supervised"
@@ -186,7 +213,6 @@ class SupervisedRunner(Runner):
         cache: Optional[ResultCache] = None,
         policy: Optional[SupervisorPolicy] = None,
         journal: Optional[str] = None,
-        resume: bool = True,
         worker_faults=None,
         in_process: bool = False,
     ):
@@ -200,8 +226,8 @@ class SupervisedRunner(Runner):
             workers = max(1, max_workers)
         self.max_workers = workers
         self.policy = policy if policy is not None else SupervisorPolicy()
+        #: fsynced WAL path; its compatible entries are served, not rerun.
         self.journal_path = journal
-        self.resume = resume
         #: anything with ``fault_for(index, attempt) -> Optional[str]``
         #: (:class:`repro.faults.worker.WorkerFaultPlan`).
         self.worker_faults = worker_faults
@@ -237,9 +263,7 @@ class SupervisedRunner(Runner):
         journal = None
         if self.journal_path:
             journal = SweepJournal(self.journal_path)
-            state = journal.start(
-                [spec.content_hash() for spec in specs], resume=self.resume
-            )
+            state = journal.start([spec.content_hash() for spec in specs])
             if state.corrupt:
                 reg.count("runner.journal_corrupt", len(state.corrupt))
             pending = self._salvage(specs, pending, results, state, progress)
@@ -426,156 +450,150 @@ class SupervisedRunner(Runner):
 
     # -- process mode --------------------------------------------------
     def _kill(self, process) -> None:
-        process.terminate()
-        process.join(0.5)
-        if process.is_alive():
-            getattr(process, "kill", process.terminate)()
-            process.join(1.0)
+        # SIGKILL, not SIGTERM: a hang-faulted worker is SIGSTOPped, and
+        # a stopped process acts on no other signal.
+        process.kill()
+        process.join(1.0)
 
     def _supervise_processes(
         self, context, specs, pending, results, journal, progress
     ) -> None:
-        workers = min(self.max_workers, len(pending))
-        queue = context.Queue()
+        # Imported here, not at module level: only process mode needs
+        # it, and every ``import repro.exec`` would pay for it.
+        from multiprocessing.connection import wait
+
+        policy = self.policy
+        slots = [_Slot(number) for number in range(min(self.max_workers, len(pending)))]
         heartbeats = None
-        if self.policy.heartbeat_s is not None:
-            heartbeats = context.Array("d", workers, lock=False)
-        free = list(range(workers - 1, -1, -1))
+        if policy.heartbeat_s is not None:
+            heartbeats = context.Array("d", len(slots), lock=False)
         todo = deque(pending)
         delayed: List = []  # (ready_s, index) heap
         attempts: Dict[int, int] = {index: 0 for index in pending}
         failures: Dict[int, List] = {}
-        running: Dict[int, _Running] = {}
 
-        def launch(index: int) -> None:
-            slot = free.pop()
-            attempt = attempts[index]
-            fault = self._fault_for(index, attempt)
-            if heartbeats is not None:
-                heartbeats[slot] = 0.0
-            process = context.Process(
-                target=_supervised_worker,
-                args=(
-                    queue,
-                    heartbeats,
-                    slot,
-                    index,
-                    attempt,
-                    specs[index].canonical(),
-                    fault,
-                    self.policy.heartbeat_s,
-                ),
-                daemon=True,
-            )
-            process.start()
-            running[index] = _Running(process, slot, index, attempt, _now(), fault)
+        def dispatch(slot: _Slot, index: int) -> None:
+            if slot.process is None:
+                if heartbeats is not None:
+                    heartbeats[slot.number] = 0.0
+                slot.conn, child = context.Pipe()
+                slot.process = context.Process(
+                    target=_worker_loop,
+                    args=(
+                        child, slot.conn, heartbeats, slot.number, policy.heartbeat_s
+                    ),
+                    daemon=True,
+                )
+                slot.process.start()
+                child.close()
+            slot.index, slot.attempt = index, attempts[index]
+            slot.fault = self._fault_for(index, slot.attempt)
+            slot.started_s = _now()
+            try:
+                slot.conn.send((specs[index].canonical(), slot.fault))
+            except OSError:
+                pass  # the worker died idle: check() reports the crash
 
-        def fail(entry: _Running, kind: str, detail: str) -> None:
-            running.pop(entry.index, None)
-            free.append(entry.slot)
+        def discard(slot: _Slot) -> None:
+            """Kill the slot's worker; its next cell starts a new one."""
+            self._kill(slot.process)
+            slot.conn.close()
+            slot.process = slot.conn = None
+
+        def fail(slot: _Slot, kind: str, detail: str) -> None:
+            index, attempt = slot.index, slot.attempt
+            slot.index = None
             backoff = self._after_failure(
-                specs[entry.index],
-                entry.index,
-                entry.attempt,
-                kind,
-                detail,
-                failures,
-                journal,
-                progress,
+                specs[index], index, attempt, kind, detail, failures, journal, progress
             )
-            attempts[entry.index] = entry.attempt + 1
+            attempts[index] = attempt + 1
             if backoff is not None:
-                heapq.heappush(delayed, (_now() + backoff, entry.index))
+                heapq.heappush(delayed, (_now() + backoff, index))
 
-        def handle(message) -> None:
-            kind, index, attempt, payload = message
-            entry = running.get(index)
-            if entry is None or entry.attempt != attempt:
-                return  # stale report from an attempt we already killed
+        def handle(slot: _Slot, message) -> None:
+            kind, payload = message
             if kind == "error":
-                entry.process.join(1.0)
-                fail(entry, "error", payload)
+                fail(slot, "error", payload)
                 return
-            if entry.fault == "partial-write":
+            spec = specs[slot.index]
+            if slot.fault == "partial-write":
                 if journal is not None:
-                    journal.record_torn_result(
-                        specs[index].content_hash(), payload
-                    )
-                entry.process.join(1.0)
-                fail(entry, "partial-write", "journal entry torn mid-write")
+                    journal.record_torn_result(spec.content_hash(), payload)
+                fail(slot, "partial-write", "journal entry torn mid-write")
                 return
-            decoded = self._decode(specs[index], payload)
+            decoded = self._decode(spec, payload)
             if not isinstance(decoded, RunStats):
-                entry.process.join(1.0)
-                fail(entry, "garbage-output", decoded)
+                fail(slot, "garbage-output", decoded)
                 return
-            entry.process.join(1.0)
-            running.pop(index, None)
-            free.append(entry.slot)
-            self._accept(
-                specs[index], index, entry.attempt, decoded, results, journal, progress
-            )
+            index, slot.index = slot.index, None
+            self._accept(spec, index, slot.attempt, decoded, results, journal, progress)
 
-        def drain_pending_messages() -> None:
-            while True:
+        def check(slot: _Slot, now: float) -> None:
+            """Collect the slot's report, or detect a crash, a blown
+            deadline or a stale heartbeat."""
+            # Liveness first: a worker that reported and then died
+            # still has its report in the pipe.
+            dead = not slot.process.is_alive()
+            if slot.conn.poll():
                 try:
-                    handle(queue.get_nowait())
-                except Empty:
+                    message = slot.conn.recv()
+                except (EOFError, OSError):
+                    dead = True
+                else:
+                    handle(slot, message)
                     return
+            if dead:
+                code = slot.process.exitcode
+                discard(slot)
+                fail(slot, "crash", f"worker exited with code {code} before reporting")
+                return
+            deadline = policy.timeout_s
+            if deadline is not None and now - slot.started_s > deadline:
+                discard(slot)
+                fail(slot, "timeout", f"deadline {deadline:g}s exceeded")
+                return
+            stale = policy.stale_after_s
+            if stale is not None:
+                last = max(heartbeats[slot.number], slot.started_s)
+                if now - last > stale:
+                    discard(slot)
+                    fail(slot, "hang", f"no heartbeat for {now - last:.2f}s")
 
         try:
-            while todo or delayed or running:
+            while True:
                 now = _now()
-                while free and delayed and delayed[0][0] <= now:
-                    _, index = heapq.heappop(delayed)
-                    launch(index)
-                while free and todo:
-                    launch(todo.popleft())
-                try:
-                    handle(queue.get(timeout=0.02))
-                except Empty:
-                    pass
-                drain_pending_messages()
+                for slot in slots:
+                    if slot.index is not None:
+                        continue
+                    if delayed and delayed[0][0] <= now:
+                        dispatch(slot, heapq.heappop(delayed)[1])
+                    elif todo:
+                        dispatch(slot, todo.popleft())
+                busy = [slot for slot in slots if slot.index is not None]
+                if not (busy or delayed):
+                    return
+                wait(
+                    [slot.conn for slot in busy]
+                    + [slot.process.sentinel for slot in busy],
+                    timeout=0.02,
+                )
                 now = _now()
-                for entry in list(running.values()):
-                    if running.get(entry.index) is not entry:
-                        continue
-                    deadline = self.policy.timeout_s
-                    if deadline is not None and now - entry.started_s > deadline:
-                        self._kill(entry.process)
-                        fail(entry, "timeout", f"deadline {deadline:g}s exceeded")
-                        continue
-                    stale = self.policy.stale_after_s
-                    if stale is not None and heartbeats is not None:
-                        last = max(heartbeats[entry.slot], entry.started_s)
-                        if now - last > stale:
-                            self._kill(entry.process)
-                            fail(
-                                entry,
-                                "hang",
-                                f"no heartbeat for {now - last:.2f}s",
-                            )
-                            continue
-                    if not entry.process.is_alive():
-                        # The worker may have reported and *then* died;
-                        # give the queue feeder a moment to surface it.
-                        patience = _now() + 0.3
-                        while (
-                            running.get(entry.index) is entry and _now() < patience
-                        ):
-                            drain_pending_messages()
-                            if running.get(entry.index) is entry:
-                                _sleep(0.01)
-                        if running.get(entry.index) is entry:
-                            fail(
-                                entry,
-                                "crash",
-                                "worker exited with code "
-                                f"{entry.process.exitcode} before reporting",
-                            )
+                for slot in busy:
+                    check(slot, now)
         finally:
-            for entry in running.values():
-                self._kill(entry.process)
+            live = [slot for slot in slots if slot.process is not None]
+            for slot in live:
+                if slot.index is None:  # idle: ask it to stop
+                    try:
+                        slot.conn.send(None)
+                    except OSError:
+                        pass  # already gone
+            for slot in live:
+                if slot.index is None:
+                    slot.process.join(1.0)
+                if slot.process.is_alive():  # busy, or deaf to the stop
+                    self._kill(slot.process)
+                slot.conn.close()
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
@@ -589,3 +607,35 @@ class SupervisedRunner(Runner):
         if self.quarantined:
             parts.append(f"{len(self.quarantined)} quarantined")
         return "supervised: " + ", ".join(parts)
+
+
+def default_runner(
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    policy: Optional[SupervisorPolicy] = None,
+    journal: Optional[str] = None,
+    worker_faults=None,
+) -> Runner:
+    """The one place a sweep's runner is chosen, for the CLI and the
+    benchmarks alike.
+
+    ``jobs`` keeps the ``--jobs`` semantics: None/1 -> a
+    :class:`SerialRunner`; N > 1 -> a :class:`SupervisedRunner` with N
+    workers; 0 -> one worker per host core.  Any supervision setting
+    (a *policy*, a *journal* to resume from, *worker_faults*) selects
+    the supervised runner at every ``jobs``.
+    """
+    if (
+        jobs in (None, 1)
+        and policy is None
+        and journal is None
+        and worker_faults is None
+    ):
+        return SerialRunner(cache=cache)
+    return SupervisedRunner(
+        max_workers=jobs,
+        cache=cache,
+        policy=policy,
+        journal=journal,
+        worker_faults=worker_faults,
+    )

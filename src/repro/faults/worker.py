@@ -2,8 +2,9 @@
 
 The fault models in :mod:`repro.faults.plan` perturb the *simulated*
 hardware (link drops, engine stalls); the models here perturb the
-*host* execution layer — the worker processes that
-:class:`~repro.exec.supervise.SupervisedRunner` spawns per sweep cell.
+*host* execution layer — the long-lived worker processes that
+:class:`~repro.exec.supervise.SupervisedRunner` feeds sweep cells to,
+one slot per worker.
 Same philosophy as PR 2: every fault is scheduled deterministically
 (explicit ``kind@cell[:attempt]`` entries or seeded rates), so a
 supervision chaos campaign replays exactly and its assertions are
@@ -12,10 +13,14 @@ stable in CI.
 Fault kinds (``WORKER_FAULT_KINDS``):
 
 * ``crash`` — the worker SIGKILLs itself before reporting (models an
-  OOM kill, a segfault, an operator ``kill -9``).
-* ``hang`` — the worker sleeps forever without ever heartbeating
-  (models a deadlock or livelock; caught by heartbeat staleness or
-  the per-cell deadline).
+  OOM kill, a segfault, an operator ``kill -9``); only its slot gets
+  a new worker.
+* ``hang`` — the worker SIGSTOPs itself on receiving the cell, which
+  freezes its heartbeat thread too (models a deadlock or livelock;
+  caught by heartbeat staleness or the per-cell deadline, whichever
+  fires first, and then SIGKILLed).  Without SIGSTOP (non-POSIX) it
+  sleeps instead, heartbeat still running, so only the deadline
+  catches it.
 * ``garbage`` — the worker reports a payload that is not a
   :class:`~repro.runtime.RunStats` dict (models a corrupted IPC
   message; caught by the supervisor's decode validation).

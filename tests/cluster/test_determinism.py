@@ -3,8 +3,8 @@ stamps byte-identically to plain ROCoCoTM (modulo the backend name)."""
 
 from repro.exec import (
     ExperimentSpec,
-    ProcessPoolRunner,
     SerialRunner,
+    default_runner,
     write_bench_stamp,
 )
 from repro.bench import matrix_from_results, matrix_specs
@@ -26,7 +26,7 @@ def _dicts(stats_list):
 class TestPoolIdentity:
     def test_pool_identical_to_serial(self):
         serial = SerialRunner().run(CLUSTER_GRID)
-        pooled = ProcessPoolRunner(max_workers=2).run(CLUSTER_GRID)
+        pooled = default_runner(2).run(CLUSTER_GRID)
         assert _dicts(serial) == _dicts(pooled)
 
 

@@ -1,4 +1,4 @@
-"""Runners: bit-identity, ordering, cache awareness, fallback."""
+"""Runners: bit-identity, ordering, cache awareness, ``--jobs``."""
 
 import multiprocessing
 import os
@@ -7,9 +7,9 @@ import pytest
 
 from repro.exec import (
     ExperimentSpec,
-    ProcessPoolRunner,
     ResultCache,
     SerialRunner,
+    SupervisedRunner,
     default_runner,
     run_payload,
 )
@@ -50,7 +50,7 @@ class TestBitIdentity:
         """The tentpole contract: sharding cells across processes
         changes nothing about any cell (each spec owns its RNGs)."""
         serial = SerialRunner().run(MINI_GRID)
-        pooled = ProcessPoolRunner(max_workers=2).run(MINI_GRID)
+        pooled = default_runner(2).run(MINI_GRID)
         assert _dicts(serial) == _dicts(pooled)
 
     def test_run_payload_round_trip(self):
@@ -59,19 +59,7 @@ class TestBitIdentity:
         assert via_payload == spec.execute().to_dict()
 
 
-class TestProcessPoolRunner:
-    def test_single_spec_stays_in_process(self):
-        runner = ProcessPoolRunner(max_workers=4)
-        [stats] = runner.run(MINI_GRID[:1])
-        assert stats.commits > 0
-        assert runner.fallback_reason is None
-
-    def test_one_worker_degrades_to_serial(self):
-        runner = ProcessPoolRunner(max_workers=1)
-        assert _dicts(runner.run(MINI_GRID[:2])) == _dicts(
-            SerialRunner().run(MINI_GRID[:2])
-        )
-
+class TestWorkerPool:
     @pytest.mark.skipif(
         (os.cpu_count() or 1) < 4,
         reason="speedup is only a contract at >= 4 host cores",
@@ -89,34 +77,16 @@ class TestProcessPoolRunner:
         serial = SerialRunner().run(grid)
         serial_s = time.perf_counter() - started
         started = time.perf_counter()
-        pooled = ProcessPoolRunner().run(grid)
+        pooled = default_runner(0).run(grid)
         pooled_s = time.perf_counter() - started
         assert _dicts(serial) == _dicts(pooled)
         assert serial_s / pooled_s > 1.5
 
-    def test_stale_fallback_reason_is_reset_per_run(self, monkeypatch):
-        # A pool death in an earlier run must not push this run's cells
-        # into the parent, where each would be computed a second time.
-        in_parent = []
-        execute = ExperimentSpec.execute
-
-        def recording_execute(spec):
-            in_parent.append(spec.label())  # forked workers append to their copy
-            return execute(spec)
-
-        monkeypatch.setattr(ExperimentSpec, "execute", recording_execute)
-        runner = ProcessPoolRunner(max_workers=2)
-        runner.fallback_reason = "BrokenPipeError: pool died in an earlier run"
-        results = runner.run(MINI_GRID)
-        assert in_parent == []
-        assert runner.fallback_reason is None
-        assert _dicts(results) == _dicts(SerialRunner().run(MINI_GRID))
-
     def test_cache_short_circuits_pool(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        first = ProcessPoolRunner(max_workers=2, cache=cache).run(MINI_GRID)
+        first = default_runner(2, cache=cache).run(MINI_GRID)
         assert cache.misses == len(MINI_GRID)
-        rerun = ProcessPoolRunner(max_workers=2, cache=cache).run(MINI_GRID)
+        rerun = default_runner(2, cache=cache).run(MINI_GRID)
         assert cache.hits == len(MINI_GRID)
         assert _dicts(first) == _dicts(rerun)
 
@@ -126,8 +96,8 @@ class TestDefaultRunner:
         assert isinstance(default_runner(None), SerialRunner)
         assert isinstance(default_runner(1), SerialRunner)
         pool = default_runner(3)
-        assert isinstance(pool, ProcessPoolRunner)
+        assert isinstance(pool, SupervisedRunner)
         assert pool.max_workers == 3
         sized = default_runner(0)
-        assert isinstance(sized, ProcessPoolRunner)
+        assert isinstance(sized, SupervisedRunner)
         assert sized.max_workers == multiprocessing.cpu_count()

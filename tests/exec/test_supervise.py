@@ -55,6 +55,30 @@ class TestBitIdentity:
         assert _dicts(supervised) == _dicts(SerialRunner().run(MINI_GRID))
 
 
+class TestWorkerReuse:
+    """Workers live across cells: only a slot whose worker was killed
+    or died starts a new process."""
+
+    @needs_processes
+    @pytest.mark.parametrize(
+        "faults, starts", [(None, 2), ("crash@1:0", 3), ("garbage@1:0", 2)]
+    )
+    def test_only_dead_slots_start_a_new_process(self, monkeypatch, faults, starts):
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            started.append(process.name)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        plan = WorkerFaultPlan.parse(faults) if faults else None
+        runner = SupervisedRunner(max_workers=2, policy=SLACK, worker_faults=plan)
+        results = runner.run(MINI_GRID)
+        assert _dicts(results) == _dicts(SerialRunner().run(MINI_GRID))
+        assert len(started) == starts
+
+
 class TestCrashRecovery:
     @needs_processes
     def test_sigkilled_worker_is_retried(self):

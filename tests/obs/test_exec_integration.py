@@ -4,10 +4,10 @@ import json
 
 from repro.exec import (
     ExperimentSpec,
-    ProcessPoolRunner,
     ResultCache,
     SerialRunner,
     bench_stamp_payload,
+    default_runner,
     write_bench_stamp,
 )
 from repro.bench import matrix_from_results, matrix_specs
@@ -54,7 +54,7 @@ class TestRunnerTransport:
     def test_pool_snapshots_bit_identical_to_serial(self):
         specs = obs_specs()
         serial = SerialRunner().run(specs)
-        pooled = ProcessPoolRunner(max_workers=2).run(specs)
+        pooled = default_runner(2).run(specs)
         for left, right in zip(serial, pooled):
             assert left.metrics is not None
             assert json.dumps(left.metrics, sort_keys=True) == json.dumps(
@@ -96,7 +96,7 @@ class TestBenchStampMetrics:
 
     def test_pool_stamp_metrics_identical_to_serial(self):
         serial = self._payload(SerialRunner())["metrics"]
-        pooled = self._payload(ProcessPoolRunner(max_workers=2))["metrics"]
+        pooled = self._payload(default_runner(2))["metrics"]
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             pooled, sort_keys=True
         )
