@@ -9,11 +9,16 @@ the measured rate is driver steps per wall-clock second, for both
 scheduling loops:
 
 * ``scan``   — :class:`ScanSimulator`, the pre-kernel O(T)-per-step
-  linear scan, kept here (and only here) as the reference the kernel
-  is measured and bit-identity-tested against (``tests/runtime/
-  test_sched.py`` imports it);
+  linear scan driving the pre-flattening step dispatch (``_step`` ->
+  ``_step_transaction`` -> ``_apply_txn_op``), kept here (and only
+  here) as the reference the kernel loop is measured and
+  bit-identity-tested against (``tests/runtime/test_sched.py``
+  imports it);
 * ``kernel`` — :class:`repro.runtime.Simulator`, the indexed min-heap
-  (:mod:`repro.runtime.sched`).
+  (:mod:`repro.runtime.sched`) under the flat step loop.
+
+The scan/kernel ratio therefore measures the heap and the flattened
+step together (docs/PERF.md "Driver step loop").
 
 Running ``python benchmarks/bench_sched.py`` sweeps the thread grid
 and writes ``BENCH_sched.json`` (schema in docs/PERF.md); under
@@ -31,8 +36,20 @@ threads.  Knobs:
 import json
 import os
 import time
+from typing import Any
 
-from repro.runtime import SimEvent, Simulator, TinySTMBackend, Work
+from repro.runtime import (
+    Alloc,
+    ParkThread,
+    Read,
+    SimEvent,
+    Simulator,
+    TinySTMBackend,
+    TransactionAborted,
+    Work,
+    Write,
+)
+from repro.runtime.simulator import ALLOC_NS, _Thread
 
 DEFAULT_THREADS = (1, 4, 14, 28, 64)
 DEFAULT_TOTAL_STEPS = 60_000
@@ -43,7 +60,8 @@ TARGET_SPEEDUP_AT_28 = 2.0
 class ScanSimulator(Simulator):
     """The simulator with its pre-kernel scheduling loop: every step
     rebuilds the runnable list and takes the ``(clock, tid)`` minimum
-    over all T threads.
+    over all T threads, then steps through the pre-flattening call
+    chain below.
 
     Must never diverge from :class:`Simulator` in anything but
     complexity.  The kernel still receives the park/wake bookkeeping
@@ -68,6 +86,78 @@ class ScanSimulator(Simulator):
                 bus.emit(SimEvent("step", thread.tid, thread.clock))
             self._step(thread)
             steps += 1
+
+    # The pre-flattening step dispatch, verbatim: the driver now runs the
+    # common transactional step inline in ``Simulator._loop``.
+    def _step(self, thread: _Thread) -> None:
+        if thread.txn is None:
+            self._step_program(thread)
+        else:
+            self._step_transaction(thread)
+
+    def _step_transaction(self, thread: _Thread) -> None:
+        txn = thread.txn
+        # Resume a parked operation first.
+        if txn.pending_op == "begin":
+            txn.pending_op = None
+            txn.attempt -= 1  # _begin_attempt recounts
+            self._begin_attempt(thread)
+            return
+        if txn.pending_op is not None:
+            op = txn.pending_op
+            txn.pending_op = None
+        else:
+            try:
+                op = txn.body.send(txn.body_value)
+            except StopIteration as stop:
+                self._try_commit(thread, stop.value)
+                return
+            except TransactionAborted as aborted:  # pragma: no cover
+                self._handle_abort(thread, aborted)
+                return
+        txn.body_value = None
+        try:
+            self._apply_txn_op(thread, op)
+        except ParkThread:
+            txn.pending_op = op
+            self._park(thread, "operation")
+        except TransactionAborted as aborted:
+            self._handle_abort(thread, aborted)
+
+    def _apply_txn_op(self, thread: _Thread, op: Any) -> None:
+        txn = thread.txn
+        bus = self.bus
+        if isinstance(op, Read):
+            value, ready = self._hook(
+                self.backend.read, thread.tid, op.addr, thread.clock
+            )
+            thread.clock = ready
+            txn.body_value = value
+            if bus.wants("read"):
+                bus.emit(
+                    SimEvent("read", thread.tid, ready, addr=op.addr, value=value)
+                )
+        elif isinstance(op, Write):
+            thread.clock = self._hook(
+                self.backend.write, thread.tid, op.addr, op.value, thread.clock
+            )
+            if bus.wants("write"):
+                bus.emit(
+                    SimEvent(
+                        "write",
+                        thread.tid,
+                        thread.clock,
+                        addr=op.addr,
+                        value=op.value,
+                    )
+                )
+        elif isinstance(op, Work):
+            thread.clock += op.ns * self._work_scale[thread.tid]
+        elif isinstance(op, Alloc):
+            txn.body_value = self.memory.alloc(op.cells)
+            thread.clock += ALLOC_NS
+        else:
+            raise TypeError(f"transaction bodies may not yield {op!r}")
 
 
 #: the two scheduling loops, by the names BENCH_sched.json reports.

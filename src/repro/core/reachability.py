@@ -72,9 +72,6 @@ class ReachabilityClosure:
     def labels(self) -> List[Hashable]:
         return list(self._labels)
 
-    def index_of(self, label: Hashable) -> int:
-        return self._index[label]
-
     def reaches(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 

@@ -95,12 +95,19 @@ class SimEvent:
 class EventBus:
     """Synchronous, ordered fan-out of :class:`SimEvent`.
 
-    ``in_backend`` is the bus's one piece of mutable state besides the
-    subscriber lists: the simulator raises it around every backend
-    hook invocation so that :meth:`Memory.subscribe` observers can
-    tell a backend write-back from direct (workload phase) stores —
-    the discrimination the sanitizer previously re-implemented with a
-    private flag inside its wrapper.
+    Two flags besides the subscriber lists, both raised by the
+    simulator:
+
+    * ``in_backend`` around every backend hook invocation, so that
+      :meth:`Memory.subscribe` observers can tell a backend write-back
+      from direct (workload phase) stores — the discrimination the
+      sanitizer previously re-implemented with a private flag inside
+      its wrapper;
+    * ``frozen`` while its step loop runs: the loop reads
+      :meth:`wants` once per run, so :meth:`subscribe` and
+      :meth:`unsubscribe` raise ``RuntimeError`` rather than change an
+      answer it already acted on.  Subscribe before ``run`` (an
+      ``attach`` or ``instrument`` hook) and detach after it.
     """
 
     def __init__(self) -> None:
@@ -108,6 +115,14 @@ class EventBus:
         self._by_kind: Dict[str, List[Callable[[SimEvent], None]]] = {}
         #: True while the simulator is inside a backend hook.
         self.in_backend = False
+        #: True while the simulator's step loop runs.
+        self.frozen = False
+
+    def _check_not_frozen(self) -> None:
+        if self.frozen:
+            raise RuntimeError(
+                "cannot change bus subscriptions while a simulation runs"
+            )
 
     def subscribe(
         self,
@@ -119,6 +134,7 @@ class EventBus:
         Delivery order is subscription order; subscribing the same
         function twice delivers it twice (wrap if you need idempotence).
         """
+        self._check_not_frozen()
         if kinds is None:
             self._all.append(fn)
             return
@@ -135,6 +151,7 @@ class EventBus:
         must leave zero residue on the emission fast path.  Raises
         ``ValueError`` if *fn* was never subscribed.
         """
+        self._check_not_frozen()
         removed = False
         while fn in self._all:
             self._all.remove(fn)

@@ -484,9 +484,6 @@ class RococoTMBackend(TMBackend):
         bookkeeping (cluster rollback, and idle-shard pruning)."""
         self._txns.pop(tid, None)
 
-    def clear_failures(self, tid: int) -> None:
-        self._failures[tid] = 0
-
     def prepare_request(self, tid: int) -> ValidationRequest:
         """This shard's slice of a cross-shard transaction, as a
         certify request (mints a fresh engine label)."""

@@ -21,6 +21,10 @@ Mechanism: an **indexed min-heap with lazy invalidation**.
   binary heap would cost O(T) again.
 * ``pick`` pops until it finds a valid entry, so a pick is O(log T)
   amortized: every stale pop is paid for by the push that created it.
+* The driver requeues the thread it just stepped and picks the next
+  one in the same call, ``pick(tid, clock)``: one ``heappushpop``
+  instead of a push and a pop.  A thread still at the minimum after
+  its step comes straight back with no heap traffic at all.
 
 Determinism contract (see DESIGN.md "Scheduler determinism"): the heap
 orders entries by the tuple ``(clock, tid)`` — exactly the key of the
@@ -47,7 +51,7 @@ kernel cannot move a single benchmark byte.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import List
 
 
@@ -58,16 +62,18 @@ class SchedulerKernel:
 
     * :meth:`add` once per thread before the run;
     * :meth:`pick` to obtain the next thread to step (``-1``: none
-      runnable);
-    * :meth:`reschedule` after a step that leaves the thread runnable;
+      runnable) — ``pick(tid, clock)`` after a step that leaves *tid*
+      runnable, which requeues it and picks in one heap operation;
     * :meth:`park` / :meth:`wake` around blocking operations;
     * :meth:`retire` when a thread's program completes.
+
+    :meth:`reschedule` is the requeue alone: ``reschedule(tid, clock)``
+    then ``pick()`` is, counters included, ``pick(tid, clock)``.
     """
 
     __slots__ = (
         "_heap",
         "_version",
-        "_runnable",
         "n_live",
         "n_parked",
         "picks",
@@ -85,7 +91,6 @@ class SchedulerKernel:
         #: per-thread entry version; a heap entry is valid iff its
         #: version equals this counter for its tid.
         self._version = [0] * n_threads
-        self._runnable = [False] * n_threads
         self.n_live = n_threads
         self.n_parked = 0
         self.picks = 0
@@ -106,24 +111,40 @@ class SchedulerKernel:
             self.heap_high_water = len(heap)
 
     def add(self, tid: int, clock: float) -> None:
-        """Register thread *tid* as runnable at *clock* (run start)."""
-        if self._runnable[tid]:
+        """Register thread *tid* as runnable at *clock* (once, at run
+        start)."""
+        if self._version[tid]:
             raise RuntimeError(f"thread {tid} is already scheduled")
-        self._runnable[tid] = True
         self._push(tid, clock)
 
-    def pick(self) -> int:
+    def pick(self, tid: int = -1, clock: float = 0.0) -> int:
         """The runnable thread with the smallest ``(clock, tid)``, or
         ``-1`` if no thread is runnable.  Pops (and counts) stale
-        entries until a valid one surfaces."""
+        entries until a valid one surfaces.
+
+        ``pick(tid, clock)`` first requeues *tid* (just stepped, still
+        runnable) as :meth:`reschedule` would, in the same
+        ``heappushpop``; every counter, ``heap_high_water`` included,
+        moves as for the two calls.
+        """
         heap = self._heap
         version = self._version
+        if tid >= 0:
+            entry_version = version[tid] + 1
+            version[tid] = entry_version
+            self.pushes += 1
+            if len(heap) >= self.heap_high_water:
+                self.heap_high_water = len(heap) + 1
+            clock, tid, entry_version = heappushpop(heap, (clock, tid, entry_version))
+            if entry_version == version[tid]:
+                self.picks += 1
+                return tid
+            self.stale_pops += 1
         while heap:
             clock, tid, entry_version = heappop(heap)
             if entry_version == version[tid]:
                 # A valid entry implies runnable: park/retire bump the
                 # version without pushing, so their entries are stale.
-                self._runnable[tid] = False  # popped: owner must re-add
                 self.picks += 1
                 return tid
             self.stale_pops += 1
@@ -131,14 +152,12 @@ class SchedulerKernel:
 
     def reschedule(self, tid: int, clock: float) -> None:
         """Re-enter *tid* (just stepped, still live) at its new clock."""
-        self._runnable[tid] = True
         self._push(tid, clock)
 
     def park(self, tid: int) -> None:
         """Mark *tid* blocked: it leaves the runnable set until
         :meth:`wake`.  O(1) — its heap entry (if any) goes stale."""
         self._version[tid] += 1
-        self._runnable[tid] = False
         self.n_parked += 1
 
     def wake(self, tid: int, clock: float, coalesced: bool = False) -> None:
@@ -150,7 +169,6 @@ class SchedulerKernel:
         ``wake_at`` was a no-op) — tracked for the ``sched.*`` metrics.
         """
         self.n_parked -= 1
-        self._runnable[tid] = True
         self.wakes += 1
         if coalesced:
             self.wakes_coalesced += 1
@@ -159,7 +177,6 @@ class SchedulerKernel:
     def retire(self, tid: int) -> None:
         """Thread *tid*'s program finished; it never runs again."""
         self._version[tid] += 1
-        self._runnable[tid] = False
         self.n_live -= 1
 
     # ------------------------------------------------------------------

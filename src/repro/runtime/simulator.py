@@ -18,10 +18,15 @@ The *pick the next thread* decision lives in
 :class:`repro.runtime.sched.SchedulerKernel` — an indexed min-heap
 keyed by ``(clock, tid)`` with lazy invalidation, O(log T) per step
 where the original inner loop rebuilt the runnable list and scanned
-all T threads per event.  The kernel is schedule-preserving by
-construction (same tie-break key); the tests and the scheduler
-microbench hold it to the old linear scan, which survives only as a
-reference subclass in ``benchmarks/bench_sched.py``.
+all T threads per event.  The step loop is flat: the common step (a
+transaction body yielding ``Read``/``Write``/``Work``) runs inline in
+:meth:`Simulator._loop`, with the backend barriers and the
+``wants()`` answers bound once per run, and one kernel call requeues
+the stepped thread and picks the next.  Both are schedule-preserving
+by construction; the tests and the scheduler microbench hold them to
+the old linear scan and its per-step call chain, which survive only
+as the reference subclass ``ScanSimulator`` in
+``benchmarks/bench_sched.py``.
 
 Backends program against the narrow :class:`repro.runtime.driver.
 Driver` protocol — ``step_cost`` / ``park`` / ``wake_at`` / ``emit``
@@ -204,7 +209,11 @@ class Simulator:
             for tid, make in enumerate(programs)
         ]
         self._kernel = SchedulerKernel(self.n_threads)
-        self._loop()
+        self.bus.frozen = True
+        try:
+            self._loop()
+        finally:
+            self.bus.frozen = False
         self.stats.makespan_ns = max(t.clock for t in self._threads)
         self._hook(self.backend.run_finished)
         if self.bus.wants("sched"):
@@ -219,38 +228,104 @@ class Simulator:
         return self.stats
 
     def _loop(self) -> None:
-        """The O(log T)-per-step inner loop over the heap kernel."""
+        """The inner loop: one kernel call per step, and the common step
+        inline — a transaction body yielding ``Read``, ``Write`` or
+        ``Work`` (dispatched on the op's exact type).  Program steps,
+        ``Alloc``, resuming a parked ``begin``, commit and abort go
+        through the helpers below."""
         threads = self._threads
         kernel = self._kernel
         for thread in threads:
             kernel.add(thread.tid, thread.clock)
         bus = self.bus
-        wants = bus.wants
         emit = bus.emit
+        # run() freezes the bus's subscriptions, so these hold all run.
+        want_step = bus.wants("step")
+        want_read = bus.wants("read")
+        want_write = bus.wants("write")
+        read = self.backend.read
+        write = self.backend.write
+        work_scale = self._work_scale
         pick = kernel.pick
-        reschedule = kernel.reschedule
         retire = kernel.retire
-        step = self._step
         max_steps = self.max_steps
         steps = 0
+        tid = -1
+        thread = None
         while True:
-            tid = pick()
+            # Requeue the thread stepped last (unless it finished or
+            # parked: kernel.park already ran inside _park()) and pick.
+            if thread is None or thread.parked:
+                tid = pick()
+            elif thread.done:
+                retire(tid)
+                tid = pick()
+            else:
+                tid = pick(tid, thread.clock)
             if tid < 0:
-                if kernel.n_live:
-                    raise RuntimeError(self._deadlock_message())
                 break
             if steps >= max_steps:
                 raise RuntimeError(self._livelock_message(steps))
-            thread = threads[tid]
-            if wants("step"):
-                emit(SimEvent("step", tid, thread.clock))
-            step(thread)
             steps += 1
-            if thread.done:
-                retire(tid)
-            elif not thread.parked:
-                reschedule(tid, thread.clock)
-            # parked: kernel.park already ran inside _park().
+            thread = threads[tid]
+            if want_step:
+                emit(SimEvent("step", tid, thread.clock))
+            txn = thread.txn
+            if txn is None:
+                self._step_program(thread)
+                continue
+            op = txn.pending_op
+            if op is None:
+                try:
+                    op = txn.body.send(txn.body_value)
+                except StopIteration as stop:
+                    self._try_commit(thread, stop.value)
+                    continue
+                except TransactionAborted as aborted:  # pragma: no cover
+                    self._handle_abort(thread, aborted)
+                    continue
+            else:
+                # Resume the operation the thread parked on.
+                txn.pending_op = None
+                if op == "begin":
+                    txn.attempt -= 1  # _begin_attempt recounts
+                    self._begin_attempt(thread)
+                    continue
+            txn.body_value = None
+            kind = type(op)
+            try:
+                if kind is Read:
+                    bus.in_backend = True
+                    try:
+                        value, ready = read(tid, op.addr, thread.clock)
+                    finally:
+                        bus.in_backend = False
+                    thread.clock = ready
+                    txn.body_value = value
+                    if want_read:
+                        emit(SimEvent("read", tid, ready, addr=op.addr, value=value))
+                elif kind is Write:
+                    bus.in_backend = True
+                    try:
+                        thread.clock = write(tid, op.addr, op.value, thread.clock)
+                    finally:
+                        bus.in_backend = False
+                    if want_write:
+                        emit(SimEvent("write", tid, thread.clock, addr=op.addr, value=op.value))
+                elif kind is Work:
+                    thread.clock += op.ns * work_scale[tid]
+                elif kind is Alloc:
+                    txn.body_value = self.memory.alloc(op.cells)
+                    thread.clock += ALLOC_NS
+                else:
+                    raise TypeError(f"transaction bodies may not yield {op!r}")
+            except ParkThread:
+                txn.pending_op = op
+                self._park(thread, "operation")
+            except TransactionAborted as aborted:
+                self._handle_abort(thread, aborted)
+        if kernel.n_live:
+            raise RuntimeError(self._deadlock_message())
 
     # ------------------------------------------------------------------
     def _livelock_message(self, steps: int) -> str:
@@ -287,12 +362,6 @@ class Simulator:
         self._kernel.park(thread.tid)
 
     # ------------------------------------------------------------------
-    def _step(self, thread: _Thread) -> None:
-        if thread.txn is None:
-            self._step_program(thread)
-        else:
-            self._step_transaction(thread)
-
     def _step_program(self, thread: _Thread) -> None:
         try:
             op = thread.program.send(thread.program_value)
@@ -378,70 +447,6 @@ class Simulator:
                     self.backend.rollback, thread.tid, thread.clock, aborted.cause
                 )
                 self._charge_backoff(thread, txn.attempt, aborted.cause)
-
-    def _step_transaction(self, thread: _Thread) -> None:
-        txn = thread.txn
-        # Resume a parked operation first.
-        if txn.pending_op == "begin":
-            txn.pending_op = None
-            txn.attempt -= 1  # _begin_attempt recounts
-            self._begin_attempt(thread)
-            return
-        if txn.pending_op is not None:
-            op = txn.pending_op
-            txn.pending_op = None
-        else:
-            try:
-                op = txn.body.send(txn.body_value)
-            except StopIteration as stop:
-                self._try_commit(thread, stop.value)
-                return
-            except TransactionAborted as aborted:  # pragma: no cover
-                self._handle_abort(thread, aborted)
-                return
-        txn.body_value = None
-        try:
-            self._apply_txn_op(thread, op)
-        except ParkThread:
-            txn.pending_op = op
-            self._park(thread, "operation")
-        except TransactionAborted as aborted:
-            self._handle_abort(thread, aborted)
-
-    def _apply_txn_op(self, thread: _Thread, op: Any) -> None:
-        txn = thread.txn
-        bus = self.bus
-        if isinstance(op, Read):
-            value, ready = self._hook(
-                self.backend.read, thread.tid, op.addr, thread.clock
-            )
-            thread.clock = ready
-            txn.body_value = value
-            if bus.wants("read"):
-                bus.emit(
-                    SimEvent("read", thread.tid, ready, addr=op.addr, value=value)
-                )
-        elif isinstance(op, Write):
-            thread.clock = self._hook(
-                self.backend.write, thread.tid, op.addr, op.value, thread.clock
-            )
-            if bus.wants("write"):
-                bus.emit(
-                    SimEvent(
-                        "write",
-                        thread.tid,
-                        thread.clock,
-                        addr=op.addr,
-                        value=op.value,
-                    )
-                )
-        elif isinstance(op, Work):
-            thread.clock += op.ns * self._work_scale[thread.tid]
-        elif isinstance(op, Alloc):
-            txn.body_value = self.memory.alloc(op.cells)
-            thread.clock += ALLOC_NS
-        else:
-            raise TypeError(f"transaction bodies may not yield {op!r}")
 
     def _try_commit(self, thread: _Thread, result: Any) -> None:
         try:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.runtime import (
     EVENT_KINDS,
+    CoarseLockBackend,
     EventBus,
     Memory,
     Read,
@@ -259,3 +260,61 @@ class TestSimulatorEmission:
         # a commit-time write-back, performed inside a backend hook.
         assert flags and all(flags)
         assert simulator.bus.in_backend is False
+
+    def test_in_backend_flag_raised_inside_write_barrier(self):
+        # The coarse lock stores in place inside its write barrier, which
+        # the step loop calls inline rather than through a hook helper.
+        memory = Memory()
+        base = memory.alloc(1)
+        memory.store(base, 0)
+        simulator = Simulator(CoarseLockBackend(), 2, memory=memory, seed=0)
+        flags = []
+        memory.subscribe(lambda addr, value: flags.append(simulator.bus.in_backend))
+        simulator.run([_contended_counter(base, 2)] * 2)
+        assert memory.load(base) == 4
+        assert flags and all(flags)
+        assert simulator.bus.in_backend is False
+
+
+class TestFrozenSubscriptions:
+    """The step loop reads ``wants()`` once per run, so the bus refuses
+    subscription changes while it runs instead of going unheard."""
+
+    def _run_with_handler(self, handler):
+        memory = Memory()
+        base = memory.alloc(1)
+        memory.store(base, 0)
+        simulator = Simulator(TinySTMBackend(), 2, memory=memory, seed=0)
+        fn = handler(simulator.bus)
+        simulator.bus.subscribe(fn, kinds=("commit",))
+        with pytest.raises(RuntimeError, match="while a simulation runs"):
+            simulator.run([_contended_counter(base, 2)] * 2)
+        assert simulator.bus.frozen is False
+        return simulator.bus, fn
+
+    def test_subscribe_from_a_handler_fails(self):
+        def handler(bus):
+            return lambda event: bus.subscribe(lambda e: None, kinds=("read",))
+
+        bus, _ = self._run_with_handler(handler)
+        assert not bus.wants("read")
+
+    def test_unsubscribe_from_a_handler_fails(self):
+        def handler(bus):
+            def detach_self(event):
+                bus.unsubscribe(detach_self)
+
+            return detach_self
+
+        bus, fn = self._run_with_handler(handler)
+        bus.unsubscribe(fn)  # still registered: the refused call changed nothing
+
+    def test_subscriptions_open_again_after_the_run(self):
+        memory = Memory()
+        base = memory.alloc(1)
+        memory.store(base, 0)
+        simulator = Simulator(TinySTMBackend(), 2, memory=memory, seed=0)
+        simulator.run([_contended_counter(base, 2)] * 2)
+        seen = []
+        simulator.bus.subscribe(seen.append, kinds=("commit",))
+        simulator.bus.unsubscribe(seen.append)

@@ -11,6 +11,8 @@ real-workload fig10 mini-grid (kmeans + ssca2 at 1 and 4 threads).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchmarks.bench_sched import SIMULATORS, ScanSimulator
 from repro.analysis.registry import EVENT_SCHEMAS
@@ -157,6 +159,87 @@ class TestKernelUnit:
     def test_needs_a_thread(self):
         with pytest.raises(ValueError):
             SchedulerKernel(0)
+
+    def test_pick_with_tid_requeues_and_picks(self):
+        kernel = SchedulerKernel(2)
+        kernel.add(0, 0.0)
+        kernel.add(1, 1.0)
+        assert kernel.pick() == 0
+        assert kernel.pick(0, 0.5) == 0  # still the minimum
+        assert kernel.pick(0, 2.0) == 1  # 0 stays queued at 2.0
+        assert kernel.pick(1, 3.0) == 0
+        assert kernel.snapshot()["pushes"] == 5
+        assert kernel.snapshot()["picks"] == 4
+
+
+#: clocks drawn from a small set, so (clock, tid) ties are common.
+CLOCKS = st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 8.0])
+
+
+class TestFoldedPick:
+    """``pick(tid, clock)`` is ``reschedule(tid, clock); pick()`` in one
+    call: the same thread, and the same counters, on any sequence of
+    kernel operations a driver can make."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_threads=st.integers(1, 6), data=st.data())
+    def test_matches_reschedule_then_pick(self, n_threads, data):
+        split = SchedulerKernel(n_threads)  # reschedule(); pick()
+        folded = SchedulerKernel(n_threads)  # pick(tid, clock)
+        for tid in range(n_threads):
+            clock = data.draw(CLOCKS)
+            split.add(tid, clock)
+            folded.add(tid, clock)
+        queued = set(range(n_threads))
+        parked = set()
+        current = -1  # the thread picked last, being "stepped"
+        for _ in range(data.draw(st.integers(1, 60))):
+            ops = []
+            if current >= 0:
+                ops += ["step", "park", "retire"]
+            elif queued:
+                ops.append("pick")
+            if queued:
+                ops.append("park_queued")  # lazy: its entry goes stale
+            if parked:
+                ops.append("wake")
+            if not ops:
+                break
+            op = data.draw(st.sampled_from(ops))
+            if op == "step":
+                clock = data.draw(CLOCKS)
+                split.reschedule(current, clock)
+                expected = split.pick()
+                assert folded.pick(current, clock) == expected
+                queued.add(current)
+                queued.discard(expected)
+                current = expected
+            elif op == "pick":
+                current = split.pick()
+                assert folded.pick() == current
+                queued.discard(current)
+            elif op in ("park", "retire"):
+                getattr(split, op)(current)
+                getattr(folded, op)(current)
+                if op == "park":
+                    parked.add(current)
+                current = -1
+            elif op == "park_queued":
+                tid = data.draw(st.sampled_from(sorted(queued)))
+                split.park(tid)
+                folded.park(tid)
+                queued.discard(tid)
+                parked.add(tid)
+            else:  # wake
+                tid = data.draw(st.sampled_from(sorted(parked)))
+                clock = data.draw(CLOCKS)
+                coalesced = data.draw(st.booleans())
+                split.wake(tid, clock, coalesced)
+                folded.wake(tid, clock, coalesced)
+                parked.discard(tid)
+                queued.add(tid)
+            assert folded.snapshot() == split.snapshot()
+            assert sorted(folded._heap) == sorted(split._heap)
 
 
 # ----------------------------------------------------------------------
