@@ -28,6 +28,14 @@ and :class:`Work` items::
 
 Composition uses ``yield from``: the data structures in
 :mod:`repro.txlib` are generator methods that bodies delegate to.
+
+The operation descriptors are frozen dataclasses with hand-written
+constructors that write their fields straight into the instance
+``__dict__``.  A sweep builds hundreds of thousands of them (one per
+yielded ``Read``/``Write``/``Work``), and the generated frozen
+``__init__`` pays an ``object.__setattr__`` call per field plus a
+``__post_init__`` call for the checks.  The classes stay frozen, equal
+and hashable by value, and usable with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ class Read:
 
     addr: Address
 
+    def __init__(self, addr: Address) -> None:
+        self.__dict__["addr"] = addr
+
 
 @dataclass(frozen=True)
 class Write:
@@ -52,6 +63,11 @@ class Write:
     addr: Address
     value: Any
 
+    def __init__(self, addr: Address, value: Any) -> None:
+        state = self.__dict__
+        state["addr"] = addr
+        state["value"] = value
+
 
 @dataclass(frozen=True)
 class Work:
@@ -59,9 +75,10 @@ class Work:
 
     ns: float
 
-    def __post_init__(self):
-        if self.ns < 0:
+    def __init__(self, ns: float) -> None:
+        if ns < 0:
             raise ValueError("work time must be non-negative")
+        self.__dict__["ns"] = ns
 
 
 @dataclass(frozen=True)
@@ -75,9 +92,10 @@ class Alloc:
 
     cells: int
 
-    def __post_init__(self):
-        if self.cells < 1:
+    def __init__(self, cells: int) -> None:
+        if cells < 1:
             raise ValueError("allocation must cover at least one cell")
+        self.__dict__["cells"] = cells
 
 
 @dataclass(frozen=True)

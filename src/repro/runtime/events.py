@@ -91,6 +91,45 @@ class SimEvent:
     #: clock (see docs/OBSERVABILITY.md).
     data: Optional[dict] = None
 
+    def __init__(
+        self,
+        kind: str,
+        tid: int,
+        time: float,
+        addr: Optional[int] = None,
+        value: object = None,
+        cause: Optional[str] = None,
+        label: Optional[str] = None,
+        attempt_index: int = 0,
+        wasted: float = 0.0,
+        began: bool = True,
+        ns: float = 0.0,
+        attempt: Optional[int] = None,
+        version: Optional[int] = None,
+        start: Optional[float] = None,
+        data: Optional[dict] = None,
+    ) -> None:
+        # Every commit and abort builds one of these: write the fields
+        # straight into the instance dict instead of paying the frozen
+        # dataclass __init__'s object.__setattr__ per field (see
+        # repro.runtime.api).  The class stays frozen and value-equal.
+        state = self.__dict__
+        state["kind"] = kind
+        state["tid"] = tid
+        state["time"] = time
+        state["addr"] = addr
+        state["value"] = value
+        state["cause"] = cause
+        state["label"] = label
+        state["attempt_index"] = attempt_index
+        state["wasted"] = wasted
+        state["began"] = began
+        state["ns"] = ns
+        state["attempt"] = attempt
+        state["version"] = version
+        state["start"] = start
+        state["data"] = data
+
 
 class EventBus:
     """Synchronous, ordered fan-out of :class:`SimEvent`.
@@ -117,6 +156,8 @@ class EventBus:
         self.in_backend = False
         #: True while the simulator's step loop runs.
         self.frozen = False
+        #: kinds whose payload-free events passed the registry check.
+        self._clean_kinds: set = set()
 
     def _check_not_frozen(self) -> None:
         if self.frozen:
@@ -173,8 +214,14 @@ class EventBus:
 
     def emit(self, event: SimEvent) -> None:
         if __debug__:
-            problem = _registry.check_event(event.kind, event.data)
-            assert problem is None, problem
+            # A payload-free event's contract depends on its kind alone,
+            # so that answer is cached per kind; payloads are checked on
+            # every emit.
+            if event.data is not None or event.kind not in self._clean_kinds:
+                problem = _registry.check_event(event.kind, event.data)
+                assert problem is None, problem
+                if event.data is None:
+                    self._clean_kinds.add(event.kind)
         for fn in self._all:
             fn(event)
         for fn in self._by_kind.get(event.kind, ()):

@@ -13,7 +13,7 @@ included, as in the real hardware.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, NoReturn, Optional
 
 CELLS_PER_CACHELINE = 8
 
@@ -48,7 +48,8 @@ class Memory:
 
     def load(self, addr: int) -> Any:
         """Direct load; unwritten cells read as 0 (zeroed heap)."""
-        self._check(addr)
+        if not 0 <= addr < self._brk:
+            self._out_of_heap(addr)
         return self._cells.get(addr, 0)
 
     def subscribe(self, observer) -> None:
@@ -57,21 +58,45 @@ class Memory:
             self._observers.append(observer)
 
     def store(self, addr: int, value: Any) -> None:
-        self._check(addr)
+        if not 0 <= addr < self._brk:
+            self._out_of_heap(addr)
         self._cells[addr] = value
         for observer in self._observers:
             observer(addr, value)
 
     def store_many(self, base: int, values: Iterable[Any]) -> None:
-        for offset, value in enumerate(values):
-            self.store(base + offset, value)
+        """Store *values* at consecutive addresses from *base* with one
+        bounds check for the whole range.  As with one :meth:`store` per
+        cell, the cells before the first address outside the heap are
+        written before its ``IndexError``."""
+        values = list(values)
+        end = base + len(values)
+        outside = self._first_outside(base, end)
+        cells = self._cells
+        observers = self._observers
+        for addr, value in zip(range(base, end if outside is None else outside), values):
+            cells[addr] = value
+            for observer in observers:
+                observer(addr, value)
+        if outside is not None:
+            self._out_of_heap(outside)
 
     def load_many(self, base: int, count: int) -> List[Any]:
-        return [self.load(base + i) for i in range(count)]
+        outside = self._first_outside(base, base + count)
+        if outside is not None:
+            self._out_of_heap(outside)
+        get = self._cells.get
+        return [get(addr, 0) for addr in range(base, base + count)]
 
-    def _check(self, addr: int) -> None:
-        if not 0 <= addr < self._brk:
-            raise IndexError(f"address {addr} outside allocated heap [0, {self._brk})")
+    def _first_outside(self, base: int, end: int) -> Optional[int]:
+        """The first address of ``[base, end)`` outside the heap, or
+        None if the whole range is inside it."""
+        if base >= end or 0 <= base and end <= self._brk:
+            return None
+        return base if not 0 <= base < self._brk else self._brk
+
+    def _out_of_heap(self, addr: int) -> NoReturn:
+        raise IndexError(f"address {addr} outside allocated heap [0, {self._brk})")
 
     @property
     def allocated(self) -> int:

@@ -26,7 +26,9 @@ the stepped thread and picks the next.  Both are schedule-preserving
 by construction; the tests and the scheduler microbench hold them to
 the old linear scan and its per-step call chain, which survive only
 as the reference subclass ``ScanSimulator`` in
-``benchmarks/bench_sched.py``.
+``benchmarks/bench_sched.py``.  The transaction boundaries (begin,
+commit, abort) raise ``bus.in_backend`` inline too, and an attempt's
+body is built only once its ``begin`` has succeeded.
 
 Backends program against the narrow :class:`repro.runtime.driver.
 Driver` protocol — ``step_cost`` / ``park`` / ``wake_at`` / ``emit``
@@ -399,31 +401,22 @@ class Simulator:
     def _begin_attempt(self, thread: _Thread) -> None:
         txn = thread.txn
         bus = self.bus
+        begin = self.backend.begin
+        tid = thread.tid
         while True:
-            txn.body = txn.make_body()
+            txn.body = None
             txn.body_value = None
             txn.pending_op = None
             txn.attempt += 1
             txn.attempt_start = thread.clock
             try:
-                thread.clock = self._hook(
-                    self.backend.begin, thread.tid, thread.clock
-                )
-                if bus.wants("begin"):
-                    bus.emit(
-                        SimEvent(
-                            "begin",
-                            thread.tid,
-                            thread.clock,
-                            label=txn.label,
-                            attempt_index=txn.attempt,
-                            start=txn.attempt_start,
-                        )
-                    )
-                return
+                bus.in_backend = True
+                try:
+                    thread.clock = begin(tid, thread.clock)
+                finally:
+                    bus.in_backend = False
             except ParkThread:
-                # Re-begin entirely on wake (body not started yet).
-                txn.body = None
+                # Re-begin entirely on wake (no body built yet).
                 txn.pending_op = "begin"
                 self._park(thread, "begin")
                 return
@@ -432,25 +425,32 @@ class Simulator:
                 # held); charge it like any other abort and retry.
                 # ``began=False``: no attempt opened, recorders must
                 # not close one.
-                if aborted.at_ns is not None:
-                    thread.clock = max(thread.clock, aborted.at_ns)
+                self._abort_attempt(thread, aborted, began=False)
+                continue
+            # Built only now: an attempt whose begin aborts or parks
+            # never runs a body.
+            txn.body = txn.make_body()
+            if bus.wants("begin"):
                 bus.emit(
                     SimEvent(
-                        "abort",
-                        thread.tid,
+                        "begin",
+                        tid,
                         thread.clock,
-                        cause=aborted.cause,
-                        began=False,
+                        label=txn.label,
+                        attempt_index=txn.attempt,
+                        start=txn.attempt_start,
                     )
                 )
-                thread.clock = self._hook(
-                    self.backend.rollback, thread.tid, thread.clock, aborted.cause
-                )
-                self._charge_backoff(thread, txn.attempt, aborted.cause)
+            return
 
     def _try_commit(self, thread: _Thread, result: Any) -> None:
+        bus = self.bus
         try:
-            thread.clock = self._hook(self.backend.commit, thread.tid, thread.clock)
+            bus.in_backend = True
+            try:
+                thread.clock = self.backend.commit(thread.tid, thread.clock)
+            finally:
+                bus.in_backend = False
         except ParkThread:
             # Invariant: commits decide at a definite simulated time.
             # A parked commit would strand the driver with a finished
@@ -461,28 +461,42 @@ class Simulator:
         except TransactionAborted as aborted:
             self._handle_abort(thread, aborted)
             return
-        self.bus.emit(SimEvent("commit", thread.tid, thread.clock))
+        bus.emit(SimEvent("commit", thread.tid, thread.clock))
         thread.txn = None
         thread.program_value = result
 
     def _handle_abort(self, thread: _Thread, aborted: TransactionAborted) -> None:
+        self._abort_attempt(thread, aborted, began=True)
+        self._begin_attempt(thread)
+
+    def _abort_attempt(
+        self, thread: _Thread, aborted: TransactionAborted, began: bool
+    ) -> None:
+        """Publish the abort, roll the backend back and charge backoff.
+        An attempt whose ``begin`` aborted (``began=False``) wasted no
+        transactional work."""
         txn = thread.txn
         if aborted.at_ns is not None:
             thread.clock = max(thread.clock, aborted.at_ns)
-        self.bus.emit(
+        bus = self.bus
+        bus.emit(
             SimEvent(
                 "abort",
                 thread.tid,
                 thread.clock,
                 cause=aborted.cause,
-                wasted=thread.clock - txn.attempt_start,
+                wasted=thread.clock - txn.attempt_start if began else 0.0,
+                began=began,
             )
         )
-        thread.clock = self._hook(
-            self.backend.rollback, thread.tid, thread.clock, aborted.cause
-        )
+        bus.in_backend = True
+        try:
+            thread.clock = self.backend.rollback(
+                thread.tid, thread.clock, aborted.cause
+            )
+        finally:
+            bus.in_backend = False
         self._charge_backoff(thread, txn.attempt, aborted.cause)
-        self._begin_attempt(thread)
 
     def _charge_backoff(self, thread: _Thread, attempt: int, cause: str) -> None:
         pause = self._backoff_ns(thread, attempt, cause)

@@ -80,20 +80,18 @@ class TinySTMBackend(TMBackend):
         )
 
     # ------------------------------------------------------------------
-    def _version(self, addr: int) -> int:
-        return self._versions.get(addr, 0)
-
     def begin(self, tid: int, now: float) -> float:
         self._txns[tid] = _TxnState(snapshot=self.global_clock)
-        return now + self.scaled(BEGIN_NS)
+        return now + BEGIN_NS * self._scale
 
     def read(self, tid: int, addr: int, now: float) -> Tuple[Any, float]:
         txn = self._txns[tid]
         cost = self._read_ns
         if addr in txn.writes:
-            return txn.writes[addr], now + self.scaled(cost)
+            return txn.writes[addr], now + cost * self._scale
 
-        version = self._version(addr)
+        versions = self._versions
+        version = versions.get(addr, 0)
         if version > txn.snapshot:
             # Snapshot extension: revalidate the whole read set.  This
             # O(r) pass is validation work whether it succeeds or not -
@@ -101,41 +99,42 @@ class TinySTMBackend(TMBackend):
             # validation-bound on TinySTM (Fig. 11).
             extension = VALIDATE_PER_READ_NS * len(txn.reads)
             cost += extension
-            self.stats.validation_ns += self.scaled(extension)
-            if any(self._version(a) != v for a, v in txn.reads.items()):
+            self.stats.validation_ns += extension * self._scale
+            if any(versions.get(a, 0) != v for a, v in txn.reads.items()):
                 raise TransactionAborted("cpu-read-validation")
             txn.snapshot = self.global_clock
 
         txn.reads.setdefault(addr, version)
-        return self.memory.load(addr), now + self.scaled(cost)
+        return self.memory.load(addr), now + cost * self._scale
 
     def write(self, tid: int, addr: int, value: Any, now: float) -> float:
         self._txns[tid].writes[addr] = value
-        return now + self.scaled(WRITE_NS)
+        return now + WRITE_NS * self._scale
 
     def commit(self, tid: int, now: float) -> float:
         txn = self._txns[tid]
         if not txn.writes:
             # Read-only: the snapshot is consistent by construction.
             self.stats.read_only_commits += 1
-            return now + self.scaled(6.0)
+            return now + 6.0 * self._scale
 
         # Commit-time validation over the timestamped read set — the
         # per-transaction overhead Fig. 11 measures.
         validation = COMMIT_BASE_NS + VALIDATE_PER_READ_NS * len(txn.reads)
-        self.stats.validation_ns += self.scaled(validation)
+        self.stats.validation_ns += validation * self._scale
         self.stats.validations += 1
-        if any(self._version(a) != v for a, v in txn.reads.items()):
+        versions = self._versions
+        if any(versions.get(a, 0) != v for a, v in txn.reads.items()):
             raise TransactionAborted("cpu-commit-validation")
 
         self.global_clock += 1
         stamp = self.global_clock
         for addr, value in txn.writes.items():
             self.memory.store(addr, value)
-            self._versions[addr] = stamp
+            versions[addr] = stamp
         cost = validation + WRITEBACK_PER_WORD_NS * len(txn.writes)
-        return now + self.scaled(cost)
+        return now + cost * self._scale
 
     def rollback(self, tid: int, now: float, cause: str) -> float:
         self._txns[tid] = _TxnState(snapshot=self.global_clock)
-        return now + self.scaled(ROLLBACK_NS)
+        return now + ROLLBACK_NS * self._scale

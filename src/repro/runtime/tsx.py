@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 from .api import TransactionAborted
 from .backend import TMBackend
 from .coarse_lock import GlobalLock
-from .memory import Memory
+from .memory import CELLS_PER_CACHELINE
 
 XBEGIN_NS = 38.0
 XEND_NS = 14.0
@@ -87,6 +87,16 @@ class TsxBackend(TMBackend):
         self._fallback_mode: Set[int] = set()
         self._failures: Dict[int, int] = {}
         self._spurious_state = 0x9E3779B97F4A7C15
+        #: per-operation spurious-abort probability, set by ``attach``.
+        self._spurious_rate = SPURIOUS_PER_OP
+
+    def attach(self, driver) -> None:
+        super().attach(driver)
+        # Per-operation spurious-abort rate: constant for a run.
+        if driver.n_threads <= driver.cost_model.physical_cores:
+            self._spurious_rate = SPURIOUS_PER_OP
+        else:
+            self._spurious_rate = SPURIOUS_PER_OP_SMT
 
     # ------------------------------------------------------------------
     def begin(self, tid: int, now: float) -> float:
@@ -106,36 +116,36 @@ class TsxBackend(TMBackend):
             # §6.3 abort avalanche.
             raise TransactionAborted("cpu-lock-subscription")
         self._hw[tid] = _HwTxn()
-        return now + self.scaled(XBEGIN_NS)
+        return now + XBEGIN_NS * self._scale
 
     # ------------------------------------------------------------------
     def read(self, tid: int, addr: int, now: float) -> Tuple[Any, float]:
         if tid in self._fallback_mode:
-            return self.memory.load(addr), now + self.scaled(ACCESS_NS)
+            return self.memory.load(addr), now + ACCESS_NS * self._scale
         txn = self._checked(tid)
         self._spurious_check(tid)
-        line = Memory.cacheline(addr)
+        line = addr // CELLS_PER_CACHELINE
         # Requester wins: evict conflicting *writers* elsewhere.
         self._kill_conflicting(tid, line, writers_only=True)
         txn.read_lines.add(line)
         if len(txn.read_lines) > READ_CAPACITY_LINES:
             raise self._abort(tid, "cpu-capacity-read")
-        return self.memory.load(addr), now + self.scaled(ACCESS_NS)
+        return self.memory.load(addr), now + ACCESS_NS * self._scale
 
     def write(self, tid: int, addr: int, value: Any, now: float) -> float:
         if tid in self._fallback_mode:
             self.memory.store(addr, value)
-            return now + self.scaled(ACCESS_NS)
+            return now + ACCESS_NS * self._scale
         txn = self._checked(tid)
         self._spurious_check(tid)
-        line = Memory.cacheline(addr)
+        line = addr // CELLS_PER_CACHELINE
         self._kill_conflicting(tid, line, writers_only=False)
         txn.write_lines.add(line)
         if len(txn.write_lines) > WRITE_CAPACITY_LINES:
             raise self._abort(tid, "cpu-capacity-write")
         txn.undo.setdefault(addr, self.memory.load(addr))
         self.memory.store(addr, value)
-        return now + self.scaled(ACCESS_NS)
+        return now + ACCESS_NS * self._scale
 
     # ------------------------------------------------------------------
     def commit(self, tid: int, now: float) -> float:
@@ -148,7 +158,7 @@ class TsxBackend(TMBackend):
             self.stats.read_only_commits += 1
         del self._hw[tid]
         self._failures[tid] = 0
-        return now + self.scaled(XEND_NS)
+        return now + XEND_NS * self._scale
 
     def rollback(self, tid: int, now: float, cause: str) -> float:
         self._failures[tid] = self._failures.get(tid, 0) + 1
@@ -158,19 +168,15 @@ class TsxBackend(TMBackend):
             # Undo not yet applied (self-detected abort).
             self._apply_undo(txn)
             cost += UNDO_PER_LINE_NS * len(txn.write_lines)
-        return now + self.scaled(cost)
+        return now + cost * self._scale
 
     # ------------------------------------------------------------------
     def _spurious_check(self, tid: int) -> None:
         """Deterministic pseudo-random microarchitectural abort."""
-        if self.driver.n_threads <= self.driver.cost_model.physical_cores:
-            rate = SPURIOUS_PER_OP
-        else:
-            rate = SPURIOUS_PER_OP_SMT
         self._spurious_state = (
             self._spurious_state * 6364136223846793005 + 1442695040888963407
         ) & 0xFFFFFFFFFFFFFFFF
-        if (self._spurious_state >> 11) / float(1 << 53) < rate:
+        if (self._spurious_state >> 11) / float(1 << 53) < self._spurious_rate:
             raise TransactionAborted("cpu-spurious")
 
     def _checked(self, tid: int) -> _HwTxn:

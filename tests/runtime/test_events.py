@@ -160,6 +160,41 @@ class TestUnsubscribe:
         assert set(baseline) <= {"commit", "abort"}
 
 
+@pytest.mark.skipif(not __debug__, reason="the registry check is an assert")
+class TestRegistryCheck:
+    """``emit`` caches the registry's answer for payload-free events per
+    kind; every breach of the contract still asserts."""
+
+    def test_undeclared_kind_raises_every_time(self):
+        bus = EventBus()
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="undeclared"):
+                bus.emit(SimEvent("comit", 0, 0.0))
+
+    def test_payload_on_commit_raises_after_cached_commits(self):
+        bus = EventBus()
+        bus.emit(SimEvent("commit", 0, 0.0))
+        bus.emit(SimEvent("commit", 0, 1.0))
+        with pytest.raises(AssertionError, match="does not carry"):
+            bus.emit(SimEvent("commit", 0, 2.0, data={"x": 1}))
+        bus.emit(SimEvent("commit", 0, 3.0))
+
+    def test_missing_payload_raises_every_time(self):
+        bus = EventBus()
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="requires a data payload"):
+                bus.emit(SimEvent("validate", 0, 0.0))
+
+    def test_payloads_checked_on_every_emit(self):
+        bus = EventBus()
+        bus.emit(SimEvent("fault", -1, 0.0, data={"kind": "x", "count": 1}))
+        with pytest.raises(AssertionError, match="missing count"):
+            bus.emit(SimEvent("fault", -1, 1.0, data={"kind": "x"}))
+        # A passing payload does not make the kind's payload optional.
+        with pytest.raises(AssertionError, match="requires a data payload"):
+            bus.emit(SimEvent("fault", -1, 2.0))
+
+
 class TestStatsCollector:
     def test_accumulates_outcomes(self):
         stats = RunStats()

@@ -55,6 +55,33 @@ class TestBulkOps:
         with pytest.raises(IndexError):
             memory.load_many(base, 3)
 
+    def test_load_many_straddling_brk_raises(self):
+        memory = Memory()
+        memory.alloc(4)
+        brk = memory.allocated
+        assert memory.load_many(brk - 1, 1) == [0]
+        with pytest.raises(IndexError, match=f"address {brk} outside"):
+            memory.load_many(brk - 1, 2)
+
+    def test_load_many_names_first_off_heap_cell(self):
+        memory = Memory()
+        memory.alloc(4)
+        with pytest.raises(IndexError, match="address -1 outside"):
+            memory.load_many(-1, 2)
+        with pytest.raises(IndexError, match="address 6 outside"):
+            memory.load_many(6, 2)
+        assert memory.load_many(6, 0) == []
+
+    def test_store_many_off_heap_start_stores_nothing(self):
+        memory = Memory()
+        base = memory.alloc(2)
+        seen = []
+        memory.subscribe(lambda addr, value: seen.append(addr))
+        with pytest.raises(IndexError, match="address -1 outside"):
+            memory.store_many(base - 1, [1, 2])
+        assert seen == []
+        assert memory.load_many(base, 2) == [0, 0]
+
     def test_store_many_accepts_any_iterable(self):
         memory = Memory()
         base = memory.alloc(4)

@@ -10,7 +10,9 @@ from repro.runtime import (
     SequentialBackend,
     Simulator,
     TinySTMBackend,
+    TMBackend,
     Transaction,
+    TransactionAborted,
     Work,
     Write,
 )
@@ -140,3 +142,76 @@ def run_counter_with_cores(n_threads, cores):
 
     stats = sim.run([make_counter_program(counter, 10)] * n_threads)
     return stats.makespan_ns
+
+
+class _BeginAbortsBackend(TMBackend):
+    """Direct-access backend whose ``begin`` aborts *k* times first."""
+
+    name = "begin-aborts"
+
+    def __init__(self, k):
+        super().__init__()
+        self.remaining = k
+
+    def begin(self, tid, now):
+        if self.remaining:
+            self.remaining -= 1
+            raise TransactionAborted("cpu-lock-subscription")
+        return now + 5.0
+
+    def read(self, tid, addr, now):
+        return self.memory.load(addr), now + 1.0
+
+    def write(self, tid, addr, value, now):
+        self.memory.store(addr, value)
+        return now + 1.0
+
+    def commit(self, tid, now):
+        return now + 2.0
+
+    def rollback(self, tid, now, cause):
+        return now + 3.0
+
+
+class TestBeginAborts:
+    """An attempt whose ``begin`` aborts never runs a body, so the body
+    is built once, after the ``begin`` that succeeds."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_body_built_once_and_events_unchanged(self, k):
+        memory = Memory()
+        counter = memory.alloc(1)
+        built = []
+
+        def make_body():
+            built.append(len(events))
+
+            def body():
+                value = yield Read(counter)
+                yield Write(counter, value + 1)
+
+            return body()
+
+        def program(tid):
+            yield Transaction(make_body, label="inc")
+
+        sim = Simulator(_BeginAbortsBackend(k), 1, memory=memory, seed=3)
+        events = []
+        sim.bus.subscribe(events.append, kinds=("begin", "abort", "backoff", "commit"))
+        stats = sim.run([program])
+
+        assert memory.load(counter) == 1
+        assert stats.commits == 1
+        assert stats.aborts_by_cause == ({"cpu-lock-subscription": k} if k else {})
+        assert stats.wasted_ns == 0.0
+        # k x (abort, backoff), then the begin of attempt k + 1.
+        assert [e.kind for e in events] == ["abort", "backoff"] * k + ["begin", "commit"]
+        for abort in events[: 2 * k : 2]:
+            assert abort.began is False
+            assert abort.cause == "cpu-lock-subscription"
+            assert abort.wasted == 0.0
+        begin = events[2 * k]
+        assert begin.attempt_index == k + 1
+        assert begin.label == "inc"
+        # make_body ran exactly once, after every begin abort was charged.
+        assert built == [2 * k]
